@@ -15,11 +15,15 @@ A in this window" — so thousands of same-window allocations stop
 rescanning the exhausted low spans.  Hints are conservative: they are
 only consulted for requests at least as large as the proven size, and
 released space invalidates every hint above the released (merged) span.
+That invalidation is lazy: a hint is checked against the spans freed
+since it was recorded when it is next read, so a release never scans
+the hints of every window origin.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.core.intervals import IntervalSet
@@ -65,6 +69,8 @@ class AddressSpace:
     hi_bound: int = USER_SPACE_TOP
     free: IntervalSet = field(default_factory=IntervalSet)
     allocations: dict[int, Allocation] = field(default_factory=dict)
+    #: Set before the first allocation: page-occupancy hints are only
+    #: kept while it is on.
     pack_pages: bool = False
     # Observability: number of free-list gap searches performed (one per
     # find_gap call, including failed and packed-page attempts).
@@ -76,9 +82,16 @@ class AddressSpace:
     # page vaddr -> number of live allocations touching it; drives
     # _used_pages eviction on release.
     _page_refs: dict[int, int] = field(default_factory=dict)
-    # window origin (clamped lo) -> (addr, size): no gap of >= size bytes
-    # starts in [lo, addr).  Only maintained for align == 1 searches.
-    _gap_hints: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # window origin (clamped lo) -> (addr, size, n): no gap of >= size
+    # bytes started in [lo, addr) as of release number n.  Only
+    # maintained for align == 1 searches.
+    _gap_hints: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    # Release count, and a stack of (release number, merged free span
+    # start) increasing in both: the lowest start freed since release n
+    # is _freed_lo[j] for the first j with _freed_at[j] >= n.
+    _releases: int = 0
+    _freed_at: list[int] = field(default_factory=list)
+    _freed_lo: list[int] = field(default_factory=list)
 
     PAGE = 4096
 
@@ -159,30 +172,38 @@ class AddressSpace:
             return None
         self.free.remove(t, t + size)
         self.allocations[t] = Allocation(vaddr=t, size=size, tag=tag)
-        page = self.PAGE
-        first = t - t % page
-        last = t + size + (-(t + size)) % page
-        self._used_pages.add(first, last)
-        refs = self._page_refs
-        for p in range(first, last, page):
-            refs[p] = refs.get(p, 0) + 1
+        if self.pack_pages:
+            pages = self._pages(t, t + size)
+            self._used_pages.add(pages.start, pages.stop)
+            refs = self._page_refs
+            for p in pages:
+                refs[p] = refs.get(p, 0) + 1
         if self.debug_invariants:
             self.check_invariants()
         return t
 
+    def _pages(self, lo: int, hi: int) -> range:
+        """Start addresses of the pages ``[lo, hi)`` touches."""
+        return range(lo - lo % self.PAGE, hi + (-hi) % self.PAGE, self.PAGE)
+
     def _find_gap_hinted(self, lo: int, hi: int, size: int) -> int | None:
         """First-fit search with a per-window-origin skip cursor.
 
-        A recorded hint ``(addr, proven)`` for origin *lo* means first-fit
-        already proved no gap of ≥ *proven* bytes starts in ``[lo, addr)``;
-        a request of ``size >= proven`` may therefore begin at *addr*.
+        A recorded hint ``(addr, proven, n)`` for origin *lo* means
+        first-fit proved no gap of ≥ *proven* bytes started in
+        ``[lo, addr)`` as of release *n*; unless a later release freed a
+        span starting below *addr*, a request of ``size >= proven`` may
+        therefore begin at *addr*.
         """
         hint = self._gap_hints.get(lo)
         start = lo
         if hint is not None and size >= hint[1] and hint[0] > lo:
-            start = min(hint[0], hi)
+            j = bisect_left(self._freed_at, hint[2])
+            if j == len(self._freed_at) or self._freed_lo[j] >= hint[0]:
+                start = min(hint[0], hi)
         t = self.free.find_gap(start, hi, size)
-        self._gap_hints[lo] = (t if t is not None else hi, size)
+        self._gap_hints[lo] = (t if t is not None else hi, size,
+                               self._releases)
         return t
 
     def release(self, vaddr: int, size: int) -> None:
@@ -192,29 +213,33 @@ class AddressSpace:
         if a is not None and a.size == size:
             del self.allocations[vaddr]
         # Freed space may merge with a lower span, creating gaps below any
-        # recorded search cursor: drop every hint above the merged span.
+        # recorded search cursor: every hint above the merged span's start
+        # is now dead.  Stacked starts at or above it can never again be
+        # the minimum a hint is checked against.
         if self._gap_hints:
             span = self.free.span_at(vaddr)
             merged_lo = span[0] if span is not None else vaddr
-            self._gap_hints = {
-                k: v for k, v in self._gap_hints.items() if v[0] <= merged_lo
-            }
+            at, los = self._freed_at, self._freed_lo
+            while los and los[-1] >= merged_lo:
+                at.pop()
+                los.pop()
+            at.append(self._releases)
+            los.append(merged_lo)
+        self._releases += 1
         # Page-occupancy hints: un-count this extent's pages and evict
         # pages with no remaining allocation, so rollback-heavy runs do
         # not leave ``pack_pages`` probing dead pages forever.
-        page = self.PAGE
-        first = vaddr - vaddr % page
-        last = vaddr + size + (-(vaddr + size)) % page
-        refs = self._page_refs
-        for p in range(first, last, page):
-            n = refs.get(p)
-            if n is None:
-                continue
-            if n <= 1:
-                del refs[p]
-                self._used_pages.remove(p, p + page)
-            else:
-                refs[p] = n - 1
+        if self.pack_pages:
+            refs = self._page_refs
+            for p in self._pages(vaddr, vaddr + size):
+                n = refs.get(p)
+                if n is None:
+                    continue
+                if n <= 1:
+                    del refs[p]
+                    self._used_pages.remove(p, p + self.PAGE)
+                else:
+                    refs[p] = n - 1
         if self.debug_invariants:
             self.check_invariants()
 
@@ -223,8 +248,9 @@ class AddressSpace:
 
         * free space and live allocations are disjoint;
         * live allocations are pairwise disjoint;
-        * every page of every live allocation is in the page-occupancy
-          hint set, and every hinted page is backed by a reference count.
+        * under ``pack_pages``, every page of every live allocation is in
+          the page-occupancy hint set, and every hinted page is backed by
+          a reference count.
         """
         prev_end = None
         for vaddr in sorted(self.allocations):
@@ -237,11 +263,10 @@ class AddressSpace:
                 f"allocations overlap at {a.vaddr:#x}"
             )
             prev_end = a.end
-            page = self.PAGE
-            first = a.vaddr - a.vaddr % page
-            last = a.end + (-a.end) % page
-            for p in range(first, last, page):
-                assert self._used_pages.contains(p, p + page), (
+            if not self.pack_pages:
+                continue
+            for p in self._pages(a.vaddr, a.end):
+                assert self._used_pages.contains(p, p + self.PAGE), (
                     f"page {p:#x} of live allocation missing from page hints"
                 )
                 assert self._page_refs.get(p, 0) > 0, (

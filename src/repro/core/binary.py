@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import LockViolation, PatchError
+from repro.errors import PatchError
 from repro.core.locks import LockMap
 
 
@@ -32,10 +32,6 @@ class CodeImage:
     def __init__(self) -> None:
         self.ranges: list[CodeRange] = []
         self.dirty: list[tuple[int, int]] = []  # (vaddr, length)
-        #: Monotonic mutation counter: bumped by every byte or lock-state
-        #: change.  Caches keyed on image contents (the plan pass's
-        #: pun-window memo) compare against this to invalidate.
-        self.version: int = 0
         # Single-entry range cache: patch loops hammer the same range.
         self._last_range: CodeRange | None = None
 
@@ -79,13 +75,10 @@ class CodeImage:
         r = self.range_at(vaddr)
         if r is None or vaddr + len(data) > r.end:
             raise PatchError(f"write outside code image at {vaddr:#x}")
-        if not r.locks.is_writable(vaddr, len(data)):
-            raise LockViolation(f"write to locked bytes at {vaddr:#x}")
-        r.locks.lock_modified(vaddr, len(data))
+        r.locks.lock_modified(vaddr, len(data))  # LockViolation if locked
         i = vaddr - r.base
         r.data[i : i + len(data)] = data
         self.dirty.append((vaddr, len(data)))
-        self.version += 1
 
     def write_unchecked(self, vaddr: int, data: bytes) -> None:
         """Overwrite bytes without lock bookkeeping (rollback support)."""
@@ -94,7 +87,6 @@ class CodeImage:
             raise PatchError(f"write outside code image at {vaddr:#x}")
         i = vaddr - r.base
         r.data[i : i + len(data)] = data
-        self.version += 1
 
     def pun(self, vaddr: int, length: int) -> None:
         """Mark bytes as fixed rel32 cells (PUNNED)."""
@@ -102,17 +94,10 @@ class CodeImage:
         if r is None or vaddr + length > r.end:
             raise PatchError(f"pun outside code image at {vaddr:#x}")
         r.locks.lock_punned(vaddr, length)
-        self.version += 1
 
     def restore_locks(self, vaddr: int, states: bytes) -> None:
-        """Restore a lock-state snapshot (transaction rollback).
-
-        Goes through the image (rather than the raw :class:`LockMap`) so
-        the mutation bumps :attr:`version` — lock state feeds pun-window
-        enumeration, so rollbacks must invalidate those caches too.
-        """
+        """Restore a lock-state snapshot (transaction rollback)."""
         self.locks_for(vaddr).restore(vaddr, states)
-        self.version += 1
 
     def is_writable(self, vaddr: int, length: int) -> bool:
         r = self.range_at(vaddr)

@@ -101,24 +101,17 @@ class IntervalSet:
         """
         if window_lo >= window_hi or size <= 0:
             return None
-
-        def align_up(x: int) -> int:
-            return -((-x) // align) * align
-
-        i = bisect_right(self._starts, window_lo) - 1
-        if i >= 0 and self._ends[i] > window_lo:
+        starts, ends = self._starts, self._ends
+        i = bisect_right(starts, window_lo) - 1
+        if i < 0 or ends[i] <= window_lo:
+            i += 1  # window_lo is not free: start at the next span
+        n = len(starts)
+        while i < n and starts[i] < window_hi:
             self.visits += 1
-            t = align_up(window_lo)
-            if t < window_hi and self._ends[i] - t >= size:
-                return t
-            i += 1
-        else:
-            i += 1
-        while i < len(self._starts) and self._starts[i] < window_hi:
-            self.visits += 1
-            s, e = self._starts[i], self._ends[i]
-            t = align_up(max(s, window_lo))
-            if t < window_hi and e - t >= size:
+            t = starts[i] if starts[i] > window_lo else window_lo
+            if align != 1:
+                t = -((-t) // align) * align
+            if t < window_hi and ends[i] - t >= size:
                 return t
             i += 1
         return None

@@ -198,13 +198,13 @@ class RewriteContext:
         from the ELF.  Idempotent; requires a decoded instruction stream."""
         if self.image is not None:
             return
-        exec_ranges: list[tuple[int, bytes]] = []
-        for seg in self.elf.load_segments():
-            if seg.executable:
-                data = self.elf.data[
-                    seg.phdr.offset : seg.phdr.offset + seg.phdr.filesz
-                ]
-                exec_ranges.append((seg.phdr.vaddr, data))
+        # Views, not slices: CodeImage copies each segment exactly once.
+        view = memoryview(self.elf.data)
+        exec_ranges = [
+            (p.vaddr, view[p.offset : p.offset + p.filesz])
+            for p in self.elf.phdrs
+            if p.type == elfc.PT_LOAD and p.flags & elfc.PF_X
+        ]
         if not exec_ranges:
             raise PatchError("binary has no executable PT_LOAD segment")
         self.image = CodeImage.from_ranges(exec_ranges)
@@ -411,8 +411,6 @@ class PlanPass(PipelinePass):
                     req.instrumentation.bind_liveness(analysis)
         probes_before = ctx.space.probes
         visits_before = ctx.space.span_visits
-        pw_hits_before = ctx.tactics.pw_hits
-        pw_misses_before = ctx.tactics.pw_misses
         ctx.plan = patch_all(ctx.tactics, requests, ctx.options.toggles)
 
         obs = ctx.observer
@@ -425,9 +423,6 @@ class PlanPass(PipelinePass):
         obs.count("plan.alloc_probes", ctx.space.probes - probes_before)
         obs.count("plan.alloc_span_visits",
                   ctx.space.span_visits - visits_before)
-        obs.count("plan.pun_cache_hits", ctx.tactics.pw_hits - pw_hits_before)
-        obs.count("plan.pun_cache_misses",
-                  ctx.tactics.pw_misses - pw_misses_before)
         if ctx.options.liveness:
             by_site = {req.insn.address: req for req in requests}
             saved_bytes = saved_regs = 0

@@ -16,6 +16,7 @@ jump targets ``[target_base, target_base + 256**free)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.binary import CodeImage
 from repro.x86.prefixes import jump_padding
@@ -23,10 +24,6 @@ from repro.x86.prefixes import jump_padding
 JMP_OPCODE = 0xE9
 SHORT_JMP_OPCODE = 0xEB
 MAX_JUMP_LEN = 15  # architectural instruction-length limit
-
-
-def _signext32(value: int) -> int:
-    return (value ^ 0x80000000) - 0x80000000
 
 
 _PW_FIELDS = ("jump_addr", "padding", "free", "target_lo", "target_hi",
@@ -105,20 +102,22 @@ def pun_windows(
     *,
     min_padding: int = 0,
     max_padding: int | None = None,
-) -> list[PunWindow]:
-    """Enumerate all pun placements for a jump at *jump_addr*.
+) -> Iterator[PunWindow]:
+    """Lazily enumerate the pun placements for a jump at *jump_addr*.
 
     *writable_end* bounds the bytes this jump may overwrite (typically the
     end of the instruction being replaced).  All bytes of
     ``[jump_addr, writable_end)`` must currently be unlocked; fixed rel32
     bytes past *writable_end* must be readable in the image.
 
-    Returns windows ordered least-constrained first (smallest padding).
+    Yields windows least-constrained first (smallest padding).  Each
+    window's fixed bytes are read when it is reached, so a caller that
+    stops at the first usable window never pays for the rest; callers
+    must not change the image between windows without restoring it.
     """
-    windows: list[PunWindow] = []
     room = writable_end - jump_addr
     if room <= 0:
-        return windows
+        return
     if max_padding is None:
         max_padding = room - 1
     max_padding = min(max_padding, room - 1, MAX_JUMP_LEN - 5)
@@ -127,10 +126,9 @@ def pun_windows(
     # fixed bytes straight out of the range buffer.
     r = image.range_at(jump_addr)
     if r is None or not r.locks.is_writable(jump_addr, room):
-        return windows
+        return
     r_base, r_end, r_data = r.base, r.end, r.data
 
-    append = windows.append
     from_bytes = int.from_bytes
     for p in range(min_padding, max_padding + 1):
         rel_pos = jump_addr + p + 1
@@ -156,8 +154,7 @@ def pun_windows(
         else:
             lo = jump_end - (1 << 31)
             hi = jump_end + (1 << 31)
-        append(PunWindow(jump_addr, p, free, lo, hi, p + 1 + free, n_fixed))
-    return windows
+        yield PunWindow(jump_addr, p, free, lo, hi, p + 1 + free, n_fixed)
 
 
 @dataclass(frozen=True)

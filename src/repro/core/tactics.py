@@ -23,6 +23,7 @@ from repro.core.trampoline import (
     Instrumentation,
     Trampoline,
     build_trampoline,
+    inject_bug_enabled,
     trampoline_size,
 )
 from repro.x86.insn import Instruction
@@ -60,7 +61,6 @@ class Transaction:
         self.space = space
         self._writes: list[tuple[int, bytes, bytes]] = []  # vaddr, old, lockstates
         self._puns: list[tuple[int, bytes]] = []  # vaddr, lockstates
-        self._allocs: list[tuple[int, int]] = []
         self._dirty_mark = len(image.dirty)
         self.trampolines: list[Trampoline] = []
 
@@ -77,18 +77,8 @@ class Transaction:
         self.image.pun(vaddr, length)
         self._puns.append((vaddr, locks))
 
-    def allocate(self, lo: int, hi: int, size: int, tag: str) -> int | None:
-        t = self.space.allocate(lo, hi, size, tag)
-        if t is not None:
-            self._allocs.append((t, size))
-        return t
-
-    def release_last(self) -> None:
-        """Undo the most recent allocation (failed trampoline encoding)."""
-        vaddr, size = self._allocs.pop()
-        self.space.release(vaddr, size)
-
     def add_trampoline(self, tramp: Trampoline) -> None:
+        """Adopt an allocated trampoline: abort releases its extent."""
         self.trampolines.append(tramp)
 
     def abort(self) -> None:
@@ -97,12 +87,11 @@ class Transaction:
         for vaddr, old, locks in reversed(self._writes):
             self.image.write_unchecked(vaddr, old)
             self.image.restore_locks(vaddr, locks)
-        for vaddr, size in reversed(self._allocs):
-            self.space.release(vaddr, size)
+        for tramp in reversed(self.trampolines):
+            self.space.release(tramp.vaddr, tramp.size)
         del self.image.dirty[self._dirty_mark :]
         self._writes.clear()
         self._puns.clear()
-        self._allocs.clear()
         self.trampolines.clear()
 
 
@@ -121,12 +110,9 @@ def is_endbr64_insn(insn: Instruction) -> bool:
 class TacticContext:
     """Everything a tactic needs: image, allocator, instruction index.
 
-    Also hosts the plan pass's two memos (INTERNALS.md §7):
-
-    * :meth:`pun_windows` — per-site window enumerations, valid only for
-      one :attr:`CodeImage.version` (any byte or lock change invalidates);
-    * :meth:`trampoline_size` — per (instruction, instrumentation) sizes,
-      which are address-independent and never invalidate.
+    Also hosts the plan pass's per-rewrite state (INTERNALS.md §7): the
+    :meth:`trampoline_size` memo and the ``$REPRO_CHECK_INJECT_BUG``
+    flag, read once here rather than per trampoline.
     """
 
     image: CodeImage
@@ -137,19 +123,20 @@ class TacticContext:
     #: tactic may overwrite or pun through one (an indirect branch to a
     #: clobbered pad would fault under IBT enforcement).
     cet: bool = False
-    _addrs: list[int] = field(default_factory=list)
-    _pw_cache: dict = field(default_factory=dict)
-    _pw_version: int = -1
-    pw_hits: int = 0
-    pw_misses: int = 0
+    inject_bug: bool = field(default_factory=inject_bug_enabled)
+    # Sorted instruction start offsets from _base: a zero-copy view of
+    # an InstructionStream's offsets, else a list of addresses.
+    _offs: Sequence[int] = ()
+    _base: int = 0
     _ts_cache: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        addrs = getattr(self.instructions, "addresses_list", None)
-        if addrs is not None:  # InstructionStream: no materialization
-            self._addrs = addrs()
+        view = getattr(self.instructions, "offsets_view", None)
+        if view is not None:  # InstructionStream: no materialization
+            self._offs = view()
+            self._base = self.instructions.address
         else:
-            self._addrs = [i.address for i in self.instructions]
+            self._offs = [i.address for i in self.instructions]
 
     def protects(self, insn: Instruction) -> bool:
         """True when *insn* is an IBT landing pad this rewrite must keep
@@ -158,50 +145,20 @@ class TacticContext:
 
     def insn_at(self, addr: int) -> Instruction | None:
         """Instruction starting exactly at *addr*."""
-        i = bisect_right(self._addrs, addr) - 1
-        if i >= 0 and self._addrs[i] == addr:
+        off = addr - self._base
+        i = bisect_right(self._offs, off) - 1
+        if i >= 0 and self._offs[i] == off:
             return self.instructions[i]
         return None
 
     def insn_containing(self, addr: int) -> Instruction | None:
         """Instruction whose byte range covers *addr*."""
-        i = bisect_right(self._addrs, addr) - 1
+        i = bisect_right(self._offs, addr - self._base) - 1
         if i >= 0:
             insn = self.instructions[i]
             if insn.address <= addr < insn.end:
                 return insn
         return None
-
-    def pun_windows(
-        self,
-        jump_addr: int,
-        writable_end: int,
-        *,
-        min_padding: int = 0,
-        max_padding: int | None = None,
-    ) -> list[PunWindow]:
-        """Memoized :func:`repro.core.puns.pun_windows` over this image.
-
-        The whole memo is dropped whenever :attr:`CodeImage.version`
-        moves: window enumeration depends on lock state and on the fixed
-        rel32 bytes past the writable window, and both change with every
-        write, pun, or rollback.
-        """
-        if self.image.version != self._pw_version:
-            self._pw_cache.clear()
-            self._pw_version = self.image.version
-        key = (jump_addr, writable_end, min_padding, max_padding)
-        hit = self._pw_cache.get(key)
-        if hit is not None:
-            self.pw_hits += 1
-            return hit
-        self.pw_misses += 1
-        out = pun_windows(
-            self.image, jump_addr, writable_end,
-            min_padding=min_padding, max_padding=max_padding,
-        )
-        self._pw_cache[key] = out
-        return out
 
     def trampoline_size(self, insn: Instruction, instr: Instrumentation) -> int:
         """Memoized :func:`repro.core.trampoline.trampoline_size`.
@@ -229,6 +186,28 @@ def _emit_jump(
         tx.pun(window.jump_addr + window.written_len, window.punned_len)
 
 
+def _place_trampoline(
+    ctx: TacticContext,
+    insn: Instruction,
+    instr: Instrumentation,
+    lo: int,
+    hi: int,
+    size: int,
+    tag: str,
+) -> Trampoline | None:
+    """Allocate and encode *insn*'s trampoline with its start in
+    ``[lo, hi)``; None (with nothing left allocated) on failure."""
+    t = ctx.space.allocate(lo, hi, size, tag)
+    if t is None:
+        return None
+    try:
+        code = build_trampoline(insn, instr, t, size, ctx.inject_bug)
+    except PatchError:
+        ctx.space.release(t, size)
+        return None
+    return Trampoline(vaddr=t, code=code, tag=tag)
+
+
 def _try_jump_to_new_trampoline(
     ctx: TacticContext,
     tx: Transaction,
@@ -237,27 +216,18 @@ def _try_jump_to_new_trampoline(
     tramp_insn: Instruction,
     instr: Instrumentation,
     tag: str,
-    *,
-    min_padding: int = 0,
 ) -> PunWindow | None:
     """Try every pun window at *jump_addr*; on success the jump is written
     and the trampoline (for *tramp_insn* with *instr*) is allocated and
     encoded.  Returns the window used, or None."""
     size = ctx.trampoline_size(tramp_insn, instr)
-    for window in ctx.pun_windows(
-        jump_addr, writable_end, min_padding=min_padding
-    ):
-        t = tx.allocate(window.target_lo, window.target_hi, size, tag)
-        if t is None:
-            continue
-        try:
-            code = build_trampoline(tramp_insn, instr, t, size)
-        except PatchError:
-            tx.release_last()
-            continue
-        _emit_jump(tx, window, t)
-        tx.add_trampoline(Trampoline(vaddr=t, code=code, tag=tag))
-        return window
+    for window in pun_windows(ctx.image, jump_addr, writable_end):
+        tramp = _place_trampoline(ctx, tramp_insn, instr, window.target_lo,
+                                  window.target_hi, size, tag)
+        if tramp is not None:
+            tx.add_trampoline(tramp)
+            _emit_jump(tx, window, tramp.vaddr)
+            return window
     return None
 
 
@@ -276,6 +246,10 @@ def try_direct(
 
     Windows are tried least-constrained first; the tactic label is derived
     from the winning window (free==4 -> B1, padding==0 -> B2, else T1).
+    A site of five or more bytes has a padding-0 window spanning the
+    whole rel32 range, so it is tried directly as ``E9 rel32`` without
+    enumerating windows; only if it fails does the enumeration resume at
+    padding 1.  Every window still gets exactly one allocation probe.
 
     Unlike the multi-step tactics this one needs no :class:`Transaction`:
     the image is only written on the success path (failed allocation
@@ -285,23 +259,33 @@ def try_direct(
     """
     if ctx.protects(insn):
         return None  # never pun through an IBT landing pad
-    space = ctx.space
     image = ctx.image
-    size = ctx.trampoline_size(insn, instr)
-    max_padding = None if allow_padding else 0
-    tag = f"patch@{insn.address:#x}"
-    for window in ctx.pun_windows(
-        insn.address, insn.end, max_padding=max_padding
+    addr = insn.address
+    # Not memoized: most sites are sized here once and never retried.
+    size = trampoline_size(insn, instr)
+    tag = f"patch@{addr:#x}"
+    min_padding = 0
+    if insn.length >= 5:
+        if not image.is_writable(addr, insn.length):
+            return None  # no window of any padding
+        jump_end = addr + 5
+        tramp = _place_trampoline(ctx, insn, instr, jump_end - (1 << 31),
+                                  jump_end + (1 << 31), size, tag)
+        if tramp is not None:
+            rel = (tramp.vaddr - jump_end) & 0xFFFFFFFF
+            image.write(addr, b"\xe9" + rel.to_bytes(4, "little"))
+            return SitePatch(site=addr, tactic=Tactic.B1,
+                             trampolines=[tramp])
+        min_padding = 1
+    for window in pun_windows(
+        image, addr, insn.end, min_padding=min_padding,
+        max_padding=None if allow_padding else 0,
     ):
-        t = space.allocate(window.target_lo, window.target_hi, size, tag)
-        if t is None:
+        tramp = _place_trampoline(ctx, insn, instr, window.target_lo,
+                                  window.target_hi, size, tag)
+        if tramp is None:
             continue
-        try:
-            code = build_trampoline(insn, instr, t, size)
-        except PatchError:
-            space.release(t, size)
-            continue
-        image.write(window.jump_addr, window.encode(t))
+        image.write(window.jump_addr, window.encode(tramp.vaddr))
         if window.punned_len:
             image.pun(window.jump_addr + window.written_len, window.punned_len)
         if window.free == 4:
@@ -310,10 +294,7 @@ def try_direct(
             tactic = Tactic.B2
         else:
             tactic = Tactic.T1
-        return SitePatch(
-            site=insn.address, tactic=tactic,
-            trampolines=[Trampoline(vaddr=t, code=code, tag=tag)],
-        )
+        return SitePatch(site=addr, tactic=tactic, trampolines=[tramp])
     return None
 
 
@@ -339,30 +320,21 @@ def try_successor_eviction(
         return None  # successor already patched/locked
 
     evictee_size = ctx.trampoline_size(succ, _EMPTY)
-    for s_window in ctx.pun_windows(succ.address, succ.end):
+    for s_window in pun_windows(ctx.image, succ.address, succ.end):
         # Probe several trampoline placements inside the window: each
         # placement changes the successor's new byte values, which changes
         # the site's own pun window.
         probe_lo = s_window.target_lo
         for _ in range(ctx.max_eviction_probes):
+            evictee = _place_trampoline(
+                ctx, succ, _EMPTY, probe_lo, s_window.target_hi,
+                evictee_size, f"evictee@{succ.address:#x}",
+            )
+            if evictee is None:
+                break
             tx = Transaction(ctx.image, ctx.space)
-            t_evict = tx.allocate(
-                probe_lo, s_window.target_hi, evictee_size, f"evictee@{succ.address:#x}"
-            )
-            if t_evict is None:
-                tx.abort()
-                break
-            try:
-                evict_code = build_trampoline(succ, _EMPTY, t_evict,
-                                              evictee_size)
-            except PatchError:
-                tx.abort()
-                break
-            _emit_jump(tx, s_window, t_evict)
-            tx.add_trampoline(
-                Trampoline(vaddr=t_evict, code=evict_code,
-                           tag=f"evictee@{succ.address:#x}")
-            )
+            tx.add_trampoline(evictee)
+            _emit_jump(tx, s_window, evictee.vaddr)
             window = _try_jump_to_new_trampoline(
                 ctx, tx, insn.address, insn.end, insn, instr,
                 f"patch@{insn.address:#x}",
@@ -375,7 +347,7 @@ def try_successor_eviction(
             # Shift the probe window so the next evictee lands with a
             # different low rel32 byte (and hence different fixed bytes
             # for the site's pun).
-            probe_lo = t_evict + 256 - (t_evict % 256)
+            probe_lo = evictee.vaddr + 256 - (evictee.vaddr % 256)
             if probe_lo >= s_window.target_hi:
                 break
     return None

@@ -17,6 +17,7 @@ Relocation must preserve semantics at the new address:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from repro.analysis.facts import AF, OF, PF, SF, STATUS_FLAGS, ZF
@@ -29,13 +30,12 @@ from repro.x86.tables import Flow
 JMP_BACK_SIZE = 5
 
 
-def _inject_bug() -> bool:
+def inject_bug_enabled() -> bool:
     """Test-only fault injection (``$REPRO_CHECK_INJECT_BUG``): when set,
     every trampoline's jump-back displacement is miscomputed.  Exists so
-    the equivalence-check CI gate can prove it is able to fail; read
-    dynamically so tests can toggle it per-case."""
-    import os
-
+    the equivalence-check CI gate can prove it is able to fail.  Read
+    once per rewrite (into :class:`~repro.core.tactics.TacticContext`),
+    so tests can still toggle it per case."""
     return bool(os.environ.get("REPRO_CHECK_INJECT_BUG"))
 
 # Caller-saved registers preserved around a call-style instrumentation.
@@ -337,34 +337,35 @@ def _no_return(insn: Instruction) -> bool:
 
 
 def build_trampoline(insn: Instruction, instr: Instrumentation,
-                     tramp_addr: int, expected: int | None = None) -> bytes:
+                     tramp_addr: int, expected: int | None = None,
+                     inject_bug: bool = False) -> bytes:
     """Emit the trampoline body for *insn* at *tramp_addr*.
 
     *expected* is the size the caller allocated (normally the memoized
     :func:`trampoline_size`); passing it skips re-probing the
     instrumentation body while still failing loudly if the encoding does
-    not fit the allocation.
+    not fit the allocation.  *inject_bug* applies the test-only
+    miscompile of :func:`inject_bug_enabled`.
     """
     asm = enc.Assembler(base=tramp_addr)
     instr.emit(asm, insn)
-    body = asm.bytes()
-    out = bytearray(body)
-    out += relocate(insn, tramp_addr + len(out))
+    asm.raw(relocate(insn, asm.here))
     if not _no_return(insn):
-        back = insn.end - (tramp_addr + len(out) + JMP_BACK_SIZE)
-        if _inject_bug():
+        back = insn.end - (asm.here + JMP_BACK_SIZE)
+        if inject_bug:
             # Test-only miscompile: land the jump-back 2 bytes past the
             # displaced instruction's end (mid-instruction), the classic
             # displacement-math bug the equivalence oracle must catch.
             back += 2
-        out += enc.encode_jmp_rel32(back)
+        asm.raw(enc.encode_jmp_rel32(back))
+    out = asm.bytes()
     if expected is None:
         expected = trampoline_size(insn, instr)
     if len(out) != expected:
         raise PatchError(
             f"trampoline size mismatch: {len(out)} != predicted {expected}"
         )
-    return bytes(out)
+    return out
 
 
 @dataclass

@@ -72,6 +72,7 @@ class ElfFile:
                     raise ElfError("section header table out of bounds")
                 self.shdrs.append(Shdr.unpack(self.data, off))
         self._sections = self._resolve_sections()
+        self._cet: bool | None = None  # is_cet_enabled() result
 
     @classmethod
     def from_path(cls, path: str) -> "ElfFile":
@@ -234,22 +235,23 @@ class ElfFile:
         return False
 
     def is_cet_enabled(self) -> bool:
-        """Best-effort CET/IBT detection.
+        """Best-effort CET/IBT detection, computed once per reader.
 
         The authoritative signal is the GNU property note; toolchains
         exist (this container's binutils among them) that emit endbr64
         instructions under ``-fcf-protection`` without writing the note,
         so fall back to scanning executable segments for any endbr64
-        byte pattern.  False positives from data-in-text are harmless:
-        they only make the rewriter more conservative.
+        byte pattern (in place: no segment copy).  False positives from
+        data-in-text are harmless: they only make the rewriter more
+        conservative.
         """
-        if self.has_ibt_note:
-            return True
-        for p in self.phdrs:
-            if p.type == c.PT_LOAD and p.flags & c.PF_X:
-                if c.ENDBR64 in self.data[p.offset : p.offset + p.filesz]:
-                    return True
-        return False
+        if self._cet is None:
+            self._cet = self.has_ibt_note or any(
+                self.data.find(c.ENDBR64, p.offset, p.offset + p.filesz) >= 0
+                for p in self.phdrs
+                if p.type == c.PT_LOAD and p.flags & c.PF_X
+            )
+        return self._cet
 
     # -- address translation ----------------------------------------------------
 

@@ -696,13 +696,14 @@ class InstructionStream(Sequence):
 
     # -- bulk accessors (the reason this type exists) --------------------
 
-    def addresses_list(self) -> list[int]:
-        """All instruction addresses, ascending, as plain ints."""
-        base = self.address
+    def offsets_view(self):
+        """Zero-copy, bisectable view of the start offsets (ascending
+        ints from :attr:`address`): an int32 ``memoryview`` of the NumPy
+        array, or the stdlib ``array('i')`` itself."""
         starts = self._starts
         if HAVE_NUMPY and isinstance(starts, _np.ndarray):
-            return (starts.astype(_np.int64) + base).tolist()
-        return [s + base for s in starts]
+            return memoryview(_np.ascontiguousarray(starts, _np.int32))
+        return starts
 
     def start_offsets(self) -> list[int]:
         """All instruction start offsets, ascending, as plain ints."""

@@ -126,13 +126,26 @@ class TestGapHints:
         space.release(blocks[0], 0x100)
         assert space.allocate(0, 0x10000, 0x100) == blocks[0]
 
+    def test_release_at_cursor_keeps_hint(self):
+        space = AddressSpace(lo_bound=0, hi_bound=0x100000)
+        for i in range(64):
+            space.reserve(i * 32, i * 32 + 24)
+        space.allocate(0, 0x100000, 64)
+        top = space.allocate(0, 0x100000, 64)
+        # The freed span starts exactly at window 0's cursor: nothing
+        # opened up below it, so the cursor stays valid.
+        space.release(top, 64)
+        before = space.span_visits
+        assert space.allocate(0, 0x100000, 64) == top
+        assert space.span_visits - before == 1  # no rescan of the slivers
+
 
 class TestInvariants:
     def test_debug_invariants_pass_through_churn(self):
         import random
 
         rng = random.Random(99)
-        space = AddressSpace(lo_bound=0, hi_bound=0x100000,
+        space = AddressSpace(lo_bound=0, hi_bound=0x100000, pack_pages=True,
                              debug_invariants=True)
         live = []
         for _ in range(300):
@@ -165,3 +178,11 @@ class TestInvariants:
         space.release(b, 100)
         assert not space._page_refs
         assert not space._used_pages
+
+    def test_page_hints_kept_only_when_packing(self):
+        space = AddressSpace(lo_bound=0, hi_bound=0x100000,
+                             debug_invariants=True)
+        a = space.allocate(0, 0x100000, 5000)
+        assert not space._page_refs and not space._used_pages
+        space.release(a, 5000)
+        assert space.used_bytes() == 0

@@ -143,3 +143,82 @@ def test_hint_churn_keeps_first_fit(reserved, operations):
             if got is not None:
                 live.append((got, size))
         space.check_invariants()
+
+
+@settings(max_examples=100, deadline=None)
+@given(reserved=reserves, operations=ops)
+def test_packed_page_hints_stay_consistent(reserved, operations):
+    """``pack_pages`` places by page occupancy rather than first fit, so
+    only the invariants (page hints included) are checked."""
+    space, _ = build_pair(reserved)
+    space.pack_pages = True
+    live: list[tuple[int, int]] = []
+    for kind, a, b, size, align in operations:
+        if kind == "release" and live:
+            space.release(*live.pop(a % len(live)))
+        else:
+            got = space.allocate(a, a + b, size, align=align)
+            if got is not None:
+                if kind == "abort":
+                    space.release(got, size)
+                else:
+                    live.append((got, size))
+        space.check_invariants()
+    for vaddr, size in live:
+        space.release(vaddr, size)
+    space.check_invariants()
+    assert not space._page_refs and not space._used_pages
+
+
+class EagerHintSpace(AddressSpace):
+    """The gap-hint scheme with eager invalidation: every release
+    rebuilds the hint dict without the hints above the merged span.
+    Reference for the lazy invalidation :class:`AddressSpace` uses."""
+
+    def _find_gap_hinted(self, lo, hi, size):
+        hint = self._gap_hints.get(lo)
+        start = lo
+        if hint is not None and size >= hint[1] and hint[0] > lo:
+            start = min(hint[0], hi)
+        t = self.free.find_gap(start, hi, size)
+        self._gap_hints[lo] = (t if t is not None else hi, size)
+        return t
+
+    def release(self, vaddr, size):
+        self.free.add(vaddr, vaddr + size)
+        self.allocations.pop(vaddr, None)
+        if self._gap_hints:
+            span = self.free.span_at(vaddr)
+            merged_lo = span[0] if span is not None else vaddr
+            self._gap_hints = {k: v for k, v in self._gap_hints.items()
+                               if v[0] <= merged_lo}
+
+
+@settings(max_examples=200, deadline=None)
+@given(reserved=reserves, operations=ops)
+def test_lazy_hint_invalidation_matches_eager(reserved, operations):
+    """Lazy invalidation must keep the exact search work of the eager
+    scheme, not just its placements: ``span_visits`` is a gated metric."""
+    lazy = AddressSpace(lo_bound=SPACE_LO, hi_bound=SPACE_HI)
+    eager = EagerHintSpace(lo_bound=SPACE_LO, hi_bound=SPACE_HI)
+    for lo, length in reserved:
+        lazy.reserve(lo, lo + length)
+        eager.reserve(lo, lo + length)
+    live: list[tuple[int, int]] = []
+    for kind, a, b, size, align in operations:
+        if kind == "release" and live:
+            vaddr, rsize = live.pop(a % len(live))
+            lazy.release(vaddr, rsize)
+            eager.release(vaddr, rsize)
+            continue
+        # Few window origins, so hints are reused and invalidated often.
+        lo = (a % 8) * 256
+        got = lazy.allocate(lo, lo + b, size, align=align)
+        assert got == eager.allocate(lo, lo + b, size, align=align)
+        if got is not None:
+            if kind == "abort":
+                lazy.release(got, size)
+                eager.release(got, size)
+            else:
+                live.append((got, size))
+        assert lazy.span_visits == eager.span_visits

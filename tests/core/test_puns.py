@@ -23,7 +23,7 @@ class TestFigure1Windows:
     def test_b2_window_matches_paper(self):
         """B2 on Ins1: rel32 = 0x8348XXXX (paper Section 2.1.3)."""
         img = fig1_image()
-        windows = pun_windows(img, BASE, BASE + 3)
+        windows = list(pun_windows(img, BASE, BASE + 3))
         b2 = windows[0]
         assert b2.padding == 0
         assert b2.free == 2
@@ -39,7 +39,7 @@ class TestFigure1Windows:
     def test_t1a_window_matches_paper(self):
         """T1(a): one pad byte -> rel32 = 0xc08348XX."""
         img = fig1_image()
-        windows = pun_windows(img, BASE, BASE + 3)
+        windows = list(pun_windows(img, BASE, BASE + 3))
         t1a = windows[1]
         assert t1a.padding == 1
         assert t1a.free == 1
@@ -50,7 +50,7 @@ class TestFigure1Windows:
     def test_t1b_window_matches_paper(self):
         """T1(b): two pad bytes -> exactly rel32 = 0x20c08348 (positive)."""
         img = fig1_image()
-        windows = pun_windows(img, BASE, BASE + 3)
+        windows = list(pun_windows(img, BASE, BASE + 3))
         t1b = windows[2]
         assert t1b.padding == 2
         assert t1b.free == 0
@@ -60,13 +60,13 @@ class TestFigure1Windows:
 
     def test_no_more_windows_than_room(self):
         img = fig1_image()
-        assert len(pun_windows(img, BASE, BASE + 3)) == 3
+        assert len(list(pun_windows(img, BASE, BASE + 3))) == 3
 
 
 class TestWindowMechanics:
     def test_b1_full_freedom_for_long_instruction(self):
         img = CodeImage.from_ranges([(BASE, b"\x90" * 64)])
-        windows = pun_windows(img, BASE, BASE + 5)
+        windows = list(pun_windows(img, BASE, BASE + 5))
         w = windows[0]
         assert w.free == 4
         assert w.target_hi - w.target_lo == 1 << 32
@@ -75,7 +75,7 @@ class TestWindowMechanics:
 
     def test_single_byte_instruction_single_candidate(self):
         img = fig1_image()
-        windows = pun_windows(img, BASE, BASE + 1)
+        windows = list(pun_windows(img, BASE, BASE + 1))
         assert len(windows) == 1
         w = windows[0]
         assert w.free == 0
@@ -84,7 +84,7 @@ class TestWindowMechanics:
 
     def test_encode_writes_only_free_bytes(self):
         img = fig1_image()
-        w = pun_windows(img, BASE, BASE + 3)[0]
+        w = next(pun_windows(img, BASE, BASE + 3))
         target = w.target_lo + 0x1234
         raw = w.encode(target)
         assert len(raw) == w.written_len == 3
@@ -108,12 +108,12 @@ class TestWindowMechanics:
     def test_locked_bytes_block_windows(self):
         img = fig1_image()
         img.write(BASE + 1, b"\x00")  # lock one byte inside Ins1
-        assert pun_windows(img, BASE, BASE + 3) == []
+        assert list(pun_windows(img, BASE, BASE + 3)) == []
 
     def test_fixed_bytes_must_be_readable(self):
         # Instruction at the very end of the image: no successor bytes.
         img = CodeImage.from_ranges([(BASE, b"\x90\x90\x90")])
-        windows = pun_windows(img, BASE, BASE + 3)
+        windows = list(pun_windows(img, BASE, BASE + 3))
         # p=0/p=1 need fixed bytes beyond the image: only p=2 survives
         # (rel32 would still need 2 bytes beyond -> none survive).
         assert windows == []
@@ -121,7 +121,7 @@ class TestWindowMechanics:
     def test_window_count_scales_with_length(self):
         img = CodeImage.from_ranges([(BASE, bytes(64))])
         for ilen in range(1, 8):
-            assert len(pun_windows(img, BASE, BASE + ilen)) == ilen
+            assert len(list(pun_windows(img, BASE, BASE + ilen))) == ilen
 
 
 class TestShortJumpSpec:

@@ -6,6 +6,8 @@ from repro.core.binary import CodeImage
 from repro.core.puns import pun_windows, short_jump_spec
 from repro.x86.decoder import decode
 
+from tests.core import reference_planner as ref
+
 BASE = 0x400000
 
 
@@ -21,7 +23,7 @@ class TestWindowProperties:
     def test_windows_well_formed(self, data):
         code, ilen = data
         image = CodeImage.from_ranges([(BASE, code)])
-        windows = pun_windows(image, BASE, BASE + ilen)
+        windows = list(pun_windows(image, BASE, BASE + ilen))
         paddings = [w.padding for w in windows]
         assert paddings == sorted(paddings)  # least-constrained first
         for w in windows:
@@ -66,7 +68,23 @@ class TestWindowProperties:
         image = CodeImage.from_ranges([(BASE, code)])
         if lock_off < ilen:
             image.write(BASE + lock_off, b"\x00")
-            assert pun_windows(image, BASE, BASE + ilen) == []
+            assert list(pun_windows(image, BASE, BASE + ilen)) == []
+
+
+    @given(st.binary(min_size=1, max_size=40), st.data())
+    def test_lazy_windows_match_reference(self, code, data):
+        """The lazy enumeration yields exactly the reference's eager list,
+        including sites whose fixed bytes run off the end of the image."""
+        image = CodeImage.from_ranges([(BASE, code)])
+        site = BASE + data.draw(st.integers(0, len(code) - 1))
+        end = site + data.draw(st.integers(0, 16))
+        min_padding = data.draw(st.integers(0, 3))
+        max_padding = data.draw(st.one_of(st.none(), st.integers(0, 12)))
+        assert list(pun_windows(
+            image, site, end, min_padding=min_padding, max_padding=max_padding,
+        )) == ref.pun_windows(
+            image, site, end, min_padding=min_padding, max_padding=max_padding,
+        )
 
 
 class TestShortJumpProperties:

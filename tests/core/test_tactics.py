@@ -9,6 +9,7 @@ byte layout, lock state, and decodability of the patched stream.
 from repro.core.allocator import AddressSpace
 from repro.core.binary import CodeImage
 from repro.core.locks import MODIFIED, PUNNED, UNLOCKED
+from repro.core.puns import pun_windows
 from repro.core.tactics import (
     Tactic,
     TacticContext,
@@ -18,7 +19,7 @@ from repro.core.tactics import (
     try_neighbour_eviction,
     try_successor_eviction,
 )
-from repro.core.trampoline import Empty
+from repro.core.trampoline import Empty, Trampoline
 from repro.x86.decoder import decode, decode_buffer
 
 BASE = 0x400000
@@ -240,7 +241,8 @@ class TestTransaction:
         tx = Transaction(ctx.image, ctx.space)
         tx.write(BASE, b"\xe9\x11\x22")
         tx.pun(BASE + 3, 2)
-        tx.allocate(0x10000, 0x20000, 64, "t")
+        t = ctx.space.allocate(0x10000, 0x20000, 64, "t")
+        tx.add_trampoline(Trampoline(vaddr=t, code=bytes(64)))
         tx.abort()
         assert ctx.image.read(BASE, 5) == code[:5]
         assert ctx.image.locks_for(BASE).is_writable(BASE, 5)
@@ -263,8 +265,10 @@ class TestAbortHeavyChurn:
 
     def test_repeated_failed_evictions_keep_invariants(self):
         # Constrained space: T2/T3 allocate, probe, and abort repeatedly.
+        # Page hints are only kept under pack_pages, so turn it on.
         code = (bytes.fromhex("488903") + bytes.fromhex("4883c0f0")) * 6
         ctx = make_ctx(code, lo=0x10000, hi=0x10100)
+        ctx.space.pack_pages = True
         ctx.space.debug_invariants = True
         for insn in list(ctx.instructions):
             try_successor_eviction(ctx, insn, Empty())
@@ -277,26 +281,16 @@ class TestAbortHeavyChurn:
         }
         assert set(ctx.space._page_refs) == live_pages
 
-    def test_abort_invalidates_pun_window_memo(self):
-        # A cached pun enumeration must not survive a rollback that
-        # changed lock state under it.
+    def test_abort_restores_pun_windows(self):
+        # A rollback that changed lock state must leave the site with
+        # exactly the windows it had before.
         code = bytes.fromhex("488903" "0010") + b"\x90" * 16
         ctx = make_ctx(code)
-        before = ctx.pun_windows(BASE, BASE + 3)
+        before = list(pun_windows(ctx.image, BASE, BASE + 3))
         assert before
         tx = Transaction(ctx.image, ctx.space)
         tx.write(BASE, b"\xe9\x11\x22")
-        assert ctx.pun_windows(BASE, BASE + 3) == []  # now locked
+        assert list(pun_windows(ctx.image, BASE, BASE + 3)) == []  # locked
         tx.abort()
-        after = ctx.pun_windows(BASE, BASE + 3)
+        after = list(pun_windows(ctx.image, BASE, BASE + 3))
         assert after == before
-
-    def test_memo_hit_counters_accumulate(self):
-        code = bytes.fromhex("488903" "0010") + b"\x90" * 16
-        ctx = make_ctx(code)
-        ctx.pun_windows(BASE, BASE + 3)
-        misses = ctx.pw_misses
-        ctx.pun_windows(BASE, BASE + 3)
-        ctx.pun_windows(BASE, BASE + 3)
-        assert ctx.pw_hits == 2
-        assert ctx.pw_misses == misses

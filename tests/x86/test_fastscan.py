@@ -181,7 +181,12 @@ class TestStreamIdentity:
         data = CORPORA["real-text"]
         stream = decode_stream(data, address=0x4000, min_vector_bytes=0)
         insns = decode_buffer(data, address=0x4000)
-        assert stream.addresses_list() == [i.address for i in insns]
+        addresses = [i.address for i in insns]
+        assert [stream.address + o for o in stream.start_offsets()] == addresses
+        # The bisect index the planner uses: zero-copy, same offsets.
+        view = stream.offsets_view()
+        assert [stream.address + o for o in view] == addresses
+        assert not isinstance(view, list)
         assert stream.total_bytes == len(data)
 
     def test_negative_index_and_slice(self):
