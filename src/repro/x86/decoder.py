@@ -103,6 +103,7 @@ for _op, _spec in tables.ONE_BYTE.items():
 # Two-byte (0F) map: dense, thanks to the table's default spec.
 _D2 = [_entry(tables.two_byte_spec(_op), 0x0F00 | _op) for _op in range(256)]
 
+# Three-byte (0F 38 / 0F 3A) maps, dense over the third opcode byte.
 _E38 = _entry(tables.THREE_BYTE_38_DEFAULT, 0)
 _E38_STORE = _entry(
     OpSpec(tables.THREE_BYTE_38_DEFAULT.mnemonic, modrm=True, flags=F_WRITES_RM), 0
@@ -112,8 +113,10 @@ _E3A_STORE = _entry(
     OpSpec(tables.THREE_BYTE_3A_DEFAULT.mnemonic, modrm=True, imm=Imm.IB,
            flags=F_WRITES_RM), 0
 )
-_38_STORES = tables.THREE_BYTE_38_STORES
-_3A_STORES = tables.THREE_BYTE_3A_STORES
+_D38 = [_E38_STORE if _op in tables.THREE_BYTE_38_STORES else _E38
+        for _op in range(256)]
+_D3A = [_E3A_STORE if _op in tables.THREE_BYTE_3A_STORES else _E3A
+        for _op in range(256)]
 
 # Imm enum values, inlined as ints for the hot loop's compares.
 _IMM_IB, _IMM_IW, _IMM_IZ, _IMM_IV = 1, 2, 3, 4
@@ -200,14 +203,14 @@ def decode(data: bytes, offset: int = 0, address: int | None = None) -> Instruct
             opcode = data[pos]
             pos += 1
             opmap = 2
-            entry = _E38_STORE if opcode in _38_STORES else _E38
+            entry = _D38[opcode]
         elif opcode == 0x3A:
             if pos >= limit:
                 raise DecodeError("truncated instruction", offset=offset)
             opcode = data[pos]
             pos += 1
             opmap = 3
-            entry = _E3A_STORE if opcode in _3A_STORES else _E3A
+            entry = _D3A[opcode]
         else:
             entry = _D2[opcode]
 
@@ -602,10 +605,7 @@ def _decode_vex(cur: _Cursor, insn: Instruction, opsize16: bool,
     insn.opcode_offset = cur.offset - 1
     insn.mnemonic = f"vex.m{map_select}.{opcode:02x}"
 
-    # All VEX/EVEX instructions have ModRM except vzeroupper/vzeroall
-    # (map 1 opcode 0x77).
-    has_modrm = not (map_select == 1 and opcode == 0x77)
-    if has_modrm:
+    if (map_select, opcode) not in tables.VEX_NO_MODRM:
         _decode_modrm(cur, insn, addrsize32=False)
     else:
         insn.mnemonic = "vzeroupper"
@@ -618,7 +618,7 @@ def _decode_vex(cur: _Cursor, insn: Instruction, opsize16: bool,
         insn.imm = cur.take_n(imm_len)
 
     # Store detection for the common VEX mov-store forms (map 1).
-    if map_select == 1 and opcode in (0x11, 0x13, 0x17, 0x29, 0x2B, 0x7F, 0xD6, 0xE7):
+    if map_select == 1 and opcode in tables.VEX_MAP1_STORES:
         insn.writes_rm = True
 
     insn._raw = None

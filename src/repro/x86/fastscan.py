@@ -8,17 +8,16 @@ about.  This module rebuilds bulk decoding around three observations:
 1. **Instruction length is a pure, local function of the bytes.**  For
    every offset ``i`` the total length ``L[i]`` (and a small set of
    *candidate bits* — could this be a jump / call / memory write?)
-   depends only on ``data[i : i+21]``.  So lengths for *all* offsets can
-   be computed at once with flat precompiled uint16 fact tables
-   (:func:`_pack` over the decoder's dense ``_D1``/``_D2`` maps) and
-   NumPy uint8 arithmetic — no per-instruction Python at all.
+   depends only on ``data[i : i+15]``.  So lengths for *all* offsets are
+   one gather each from a table keyed by two bytes, generated at import
+   from the decoder's dense maps, plus exact sparse fixups for the rare
+   byte classes — no per-instruction Python at all.
 
 2. **The instruction *chain* is a pointer jungle over those lengths.**
    ``next[i] = i + max(L[i], 1)`` is composed in O(log) doubling steps
    (``n16 = next^16``); a Python loop then touches only every 16th
    instruction (the *anchors*) and the intervening 15 starts are filled
-   by vectorized gathers.  Work is windowed (2 MB) so the dozens of
-   temporaries stay cache-resident.
+   by vectorized gathers.  Work is windowed (2 MB).
 
 3. **Linear sweep self-synchronizes.**  Chunks decoded independently
    from conservative boundaries converge to the true stream after a few
@@ -46,9 +45,7 @@ import bisect
 from array import array
 from typing import Callable, Iterable, Sequence
 
-from repro.errors import DecodeError
 from repro.x86 import decoder as _dec
-from repro.x86 import prefixes as _pfx
 from repro.x86.decoder import MAX_INSN_LEN, decode, decode_buffer
 from repro.x86.insn import Instruction
 from repro.x86.tables import (
@@ -56,6 +53,11 @@ from repro.x86.tables import (
     F_INVALID64,
     F_STRING_WRITE,
     F_WRITES_RM,
+    VEX_MAP1_STORES,
+    VEX_NO_MODRM,
+    Flow,
+    Imm,
+    vex_imm_kind,
 )
 
 try:  # NumPy is an optional accelerator (the ``perf`` extra), never required.
@@ -80,15 +82,11 @@ SB_CALL = 2  # Flow.CALL (direct rel32 call)
 SB_WRITE = 4  # may write memory (modrm store, group store, string store)
 SB_VALID = 8  # position decodes (not a "(bad)" byte)
 
-#: Sentinel length for VEX/EVEX-prefixed positions: the dense scan only
-#: classifies the three escape bytes; the scalar decoder resolves them.
-_VEX_SENTINEL = 255
-
 #: Real-byte lookahead a window scan needs so every position < window end
-#: is computed exactly as in a whole-buffer scan.  A *valid* instruction
-#: reads at most 15 bytes; longer speculative gathers only feed lengths
-#: that exceed 15 and are invalidated regardless of the garbage read.
-_LOOKAHEAD = 18
+#: is computed exactly as in a whole-buffer scan: the last position sees
+#: its 15 bytes.  A read past them only feeds a length that exceeds 15
+#: and is invalidated regardless of the byte read.
+_LOOKAHEAD = MAX_INSN_LEN - 1
 
 _WINDOW = 1 << 21  # scan window: big enough to amortize, small enough to cache
 _MIN_VECTOR = 4096  # below this the numpy fixed costs beat the scalar loop
@@ -97,42 +95,133 @@ _MIN_CHUNK = 1 << 20  # never ship chunks smaller than this to a worker
 
 
 # ---------------------------------------------------------------------------
-# Dense fact tables, precompiled once at import.
+# Dense fact tables, generated once at import from the decoder's maps.
 # ---------------------------------------------------------------------------
+# A uint16 *entry* describes the instruction whose opcode byte sits at an
+# offset.  Tables are keyed ``(opcode << 8) | next_byte``, so the ModRM
+# byte of an opcode that has one is part of the key.
+
+_LEN = 0x000F  # bits 0-3: instruction length; 0 = invalid (entry is 0)
+_SB = 4  # bits 4-7: the SB_* bits, SB_VALID included
+_Z66 = 0x0100  # the immediate shrinks by 2 bytes under 0x66
+_M67 = 0x0200  # the immediate shrinks by 4 bytes under 0x67 (moffs)
+_W8 = 0x0400  # the immediate grows by 4 bytes under REX.W (imm64)
+_SIB5 = 0x0800  # mod=00 rm=100: a SIB byte with base 101 adds a disp32
+_CLS = 12  # bits 12-14: first-byte class needing a sparse fixup
+_PFX, _VEX = _dec._PFX, _dec._VEX
+_ESC = 4  # the 0F escape
+_SPARSE = _SIB5  # entries >= this are fixed up sparsely
+_VMODRM = _SIB5  # VEX table only: the opcode takes a ModRM byte
+_GROUP3 = Imm.GROUP3.value
 
 
-def _pack(entry) -> int:
-    """Pack one decoder table entry into the uint16 scan fact word.
+def _imm_word(kind: Imm, op: int, reg: int) -> int:
+    """Immediate bytes of *kind* without prefixes, plus its prefix flags,
+    read off the decoder's own ``_imm_bytes``."""
+    size = _dec._imm_bytes(kind, False, False, op, reg, False)
+    word = size
+    if _dec._imm_bytes(kind, True, False, op, reg, False) < size:
+        word |= _Z66
+    if _dec._imm_bytes(kind, False, False, op, reg, True) < size:
+        word |= _M67
+    if _dec._imm_bytes(kind, False, True, op, reg, False) > size:
+        word |= _W8
+    return word
 
-    Layout: ``imm_code`` (bits 0-3) | ``has_modrm`` (4) | ``invalid``
-    (5) | ``may_write_rm`` (6) | ``string_write`` (7) | ``flow`` (8-11).
-    ``may_write_rm`` folds ``F_GROUP_WRITE`` in unconditionally — the
-    scan cannot see modrm.reg cheaply, and a superset is all the
-    candidate bits promise.
-    """
-    if entry is None or (entry[4] & F_INVALID64):
-        return 1 << 5
-    flags = entry[4]
-    packed = entry[2] & 15
-    if entry[1]:
-        packed |= 1 << 4
-    if flags & (F_WRITES_RM | F_GROUP_WRITE):
-        packed |= 1 << 6
-    if flags & F_STRING_WRITE:
-        packed |= 1 << 7
-    return packed | (entry[3].value << 8)
+
+def _modrm_columns():
+    """uint16 columns per ModRM byte: the ``_SIB5`` bit (mod=00 rm=100),
+    ModRM + SIB + displacement bytes (SIB base 101 aside), SB_WRITE in
+    entry position for memory operands, and the reg field."""
+    m = _np.arange(256, dtype=_np.uint16)
+    mod, rm = m >> 6, m & 7
+    mem = mod != 3
+    disp = _np.select([mod == 1, mod == 2, (mod == 0) & (rm == 5)], [1, 4, 4], 0)
+    return (
+        ((mod == 0) & (rm == 4)) * _np.uint16(_SIB5),
+        (1 + (mem & (rm == 4)) + disp).astype(_np.uint16),
+        mem * _np.uint16(SB_WRITE << _SB),
+        (m >> 3) & 7,
+    )
+
+
+def _map_table(entries):
+    """The (len(entries), 256) table of opcode maps given as 256 decoder
+    entries each.  Opcodes fall into a few dozen classes (validity, has
+    ModRM, may store, SB bits, immediate); each class's row is built by
+    broadcasting against per-ModRM columns, then gathered per opcode."""
+    classes = {None: 0}  # invalid opcodes: the all-zero row
+    index = []
+    for op, e in enumerate(entries):
+        key = None
+        if e is not None and not e[4] & F_INVALID64:
+            flags, flow, code = e[4], e[3], e[2]
+            sb = SB_VALID | (SB_WRITE if flags & F_STRING_WRITE else 0)
+            if flow is Flow.JMP or flow is Flow.JCC:
+                sb |= SB_JUMP
+            elif flow is Flow.CALL:
+                sb |= SB_CALL
+            store = bool(flags & (F_WRITES_RM | F_GROUP_WRITE))
+            # GROUP3 is the only kind whose size reads the opcode and
+            # modrm.reg.
+            key = (bool(e[1]), store, sb, code, op & 0xFF if code == _GROUP3 else 0)
+        index.append(classes.setdefault(key, len(classes)))
+    cols = [(0, 0, 0)]
+    imm = [[0] * 8]
+    words = {}
+    for hasm, store, sb, code, op in list(classes)[1:]:
+        cols.append((hasm, hasm and store, sb << _SB | 1))
+        if (code, op) not in words:
+            words[code, op] = [_imm_word(Imm(code), op, reg) for reg in range(8)]
+        imm.append(words[code, op])
+    hasm, store, base = _np.array(cols, _np.uint16).T[:, :, None]
+    rows = _np.array(imm, _np.uint16)[:, _REG] + base
+    rows += hasm * _RMLEN
+    rows |= hasm * _RMSIB5 | store * _RMSTORE
+    return rows[index]
+
+
+def _one_byte_tables(plain):
+    """The one-byte map three times over, for an opcode byte preceded by
+    no REX, by REX and by REX.W; class rows mark the sparse fixups."""
+    rex = _np.where(plain & _LEN != 0, plain + 1, 0)
+    rexw = _np.where(plain & _W8 != 0, (rex + 4) & (0xFFFF ^ _Z66), rex)
+    first = _np.frombuffer(bytes(_dec._FIRST), _np.uint8)
+    plain[first == _PFX] = _PFX << _CLS
+    plain[first == _VEX] = _VEX << _CLS
+    for table in (plain, rex, rexw):
+        table[0x0F] = _ESC << _CLS
+    return _np.concatenate([plain, rex, rexw], dtype=_np.uint16).ravel()
+
+
+def _vex_table():
+    """Per ``(map << 8) | opcode`` of VEX/EVEX: the immediate word,
+    ``_VMODRM`` and SB_WRITE, from ``tables.vex_imm_kind``,
+    ``VEX_NO_MODRM`` and ``VEX_MAP1_STORES``."""
+    maps = _np.arange(32).repeat(256).tolist()
+    kinds = map(vex_imm_kind, maps, list(range(256)) * 32)
+    ids = _np.fromiter(map(id, kinds), _np.int64, len(maps))
+    table = _np.full(32 * 256, _VMODRM | SB_VALID << _SB, _np.uint16)
+    for kind in Imm:  # (enum hashing is slow: match members by identity)
+        table[ids == id(kind)] |= _imm_word(kind, 0, 0)
+    table = table.reshape(32, 256)
+    for mp, op in VEX_NO_MODRM:
+        table[mp, op] ^= _VMODRM
+    table[1, sorted(VEX_MAP1_STORES)] |= SB_WRITE << _SB
+    return table.ravel()
 
 
 if HAVE_NUMPY:
-    _LUT0 = _np.array([_pack(_dec._D1[op]) for op in range(256)], _np.uint16)
-    _LUT1 = _np.array([_pack(_dec._D2[op]) for op in range(256)], _np.uint16)
-    _C38 = _np.uint16(_pack(_dec._E38))
-    _C3A = _np.uint16(_pack(_dec._E3A))
-    _PFXB = sorted(_pfx.LEGACY_PREFIXES)
+    _RMSIB5, _RMLEN, _RMSTORE, _REG = _modrm_columns()
+    _maps = _map_table(_dec._D1 + _dec._D2 + _dec._D38 + _dec._D3A)
+    _T1 = _one_byte_tables(_maps[:256])  # prefix, REX, VEX and 0F rows are 0
+    _TESC = _maps[256:].ravel()  # keyed (0F, 0F 38, 0F 3A) << 16 | opcode, ModRM
+    _TVEX = _vex_table()
+    del _maps
 
 
 def _cand_of(insn: Instruction) -> int:
-    """Candidate bits of a scalar-decoded instruction (VEX resolution)."""
+    """Candidate bits of a scalar-decoded instruction (fallback path)."""
     bits = 0
     flow = insn.flow.value
     if flow == 1 or flow == 2:
@@ -145,213 +234,99 @@ def _cand_of(insn: Instruction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The vectorized scan: lengths + candidate bits for *every* offset.
+# The vectorized scan: an entry for *every* offset.
 # ---------------------------------------------------------------------------
 
 
-def _scan(buf):
-    """Per-offset lengths and candidate bits over *buf*.
+def _scan(buf, key=None):
+    """Per-offset instruction entries over *buf*.
 
-    Returns ``(L, cand)`` uint8 arrays of ``len(buf)``: ``L[i]`` is the
-    instruction length decoding at ``i`` (0 = invalid byte,
-    ``_VEX_SENTINEL`` = VEX/EVEX — resolve with the scalar decoder),
-    ``cand[i]`` the SB_* candidate bits (0 unless ``L[i]`` is valid).
+    Returns a uint16 array of ``len(buf)``: ``E[i] & _LEN`` is the length
+    of the instruction decoding at ``i`` and ``E[i] >> _SB & 15`` its SB_*
+    bits; ``E[i]`` is 0 when ``i`` does not decode.  *key* is an optional
+    intp scratch buffer of at least ``len(buf) + 1`` elements.
+
+    One gather per offset reads the one-byte table (a REX offset reads
+    the REX or REX.W table with the next offset's key).  The rare
+    classes are then fixed up sparsely and exactly, each reading only
+    entries final before it: SIB base 101, 0F escapes, VEX/EVEX, and
+    last the legacy-prefix runs (the entry after the run, resized for
+    0x66/0x67).
 
     Truncation is judged against ``len(buf)``; callers scanning a window
     of a larger buffer must extend the slice by ``_LOOKAHEAD`` real
     bytes and keep only the window-sized prefix of the result.
     """
     n = len(buf)
-    pad = 24
-    BP = _np.zeros(n + 40, _np.uint8)
-    BP[:n] = _np.frombuffer(buf, _np.uint8)
-    B = [BP[s : s + n] for s in range(8)]
-    B0 = B[0]
+    key = _np.empty(n + 1, _np.intp) if key is None else key[: n + 1]
+    bp = _np.zeros(n + 24, _np.uint8)
+    bp[:n] = _np.frombuffer(buf, _np.uint8)
+    b0 = bp[: n + 1]
+    rex = b0 & 0xF0
+    rex = _np.equal(rex, 0x40, out=rex.view(bool)).view(_np.uint8)
+    table = b0 & 0xF8
+    _np.equal(table, 0x48, out=table.view(bool))
+    table += rex  # 0: no REX, 1: REX, 2: REX.W
+    k16 = _np.left_shift(bp[: n + 2], 8, dtype=_np.uint16)
+    k16[:-1] |= bp[1 : n + 2]
+    kk = k16[1:] - k16[:-1]
+    kk *= rex
+    kk += k16[:-1]  # a REX offset looks up the next offset's key
+    _np.left_shift(table, 16, out=key, dtype=_np.intp)
+    key |= kk
+    E = _T1.take(key)
+    del rex, table, k16, kk
 
-    # Legacy-prefix run length via doubling: r[i] = min(run at i, 16).
-    P = B0 == _PFXB[0]
-    for v in _PFXB[1:]:
-        P |= B0 == v
-    Pn = _np.zeros(n + pad, _np.uint8)
-    Pn[:n] = P
-    r = Pn.copy()
-    for k in (1, 2, 4, 8):
-        r[: n + pad - k] += (r[: n + pad - k] == k) * r[k:]
-    npfx = r[:n]
-    haspfx = P
+    odd = _np.flatnonzero(E[:n] >= _SPARSE)
+    cls = E[odd] >> _CLS
+    s = odd[cls == 0]  # SIB base 101
+    o = s + 2 + (bp[s] & 0xF0 == 0x40)
+    E[s] += (bp[o] & 7 == 5) * _np.uint16(4)
 
-    # Common path (no legacy prefixes): pure uint8 blends, no gathers.
-    isrex = (B0 >= 0x40) & (B0 < 0x50)
-    rex8 = isrex.view(_np.uint8)
-    nrex8 = rex8 ^ 1
-    bk = B0 * nrex8 + B[1] * rex8
-    is0f = bk == 0x0F
-    b2 = B[1] * nrex8 + B[2] * rex8
-    is38 = is0f & (b2 == 0x38)
-    is3a = is0f & (b2 == 0x3A)
-    esc3 = (is38 | is3a).view(_np.uint8)
-    is0f8 = is0f.view(_np.uint8)
-    is2 = is0f8 & (esc3 ^ 1)
+    f = odd[cls == _ESC]  # [REX] 0F xx, 0F 38 xx, 0F 3A xx
+    o = f + (bp[f] & 0xF0 == 0x40)
+    b1 = bp[o + 1]
+    sel = (b1 == 0x38) + (b1 == 0x3A) * 2
+    o += (sel != 0) + 1  # the map's opcode byte
+    e = _TESC[(sel << 16) | (bp[o].astype(_np.intp) << 8) | bp[o + 1]]
+    fix = (e & _SIB5 != 0) & (bp[o + 2] & 7 == 5)
+    E[f] = e + (o - f + fix * 4) * (e & _LEN != 0)
 
-    F = _LUT0[bk]
-    F1 = _LUT1[b2]
-    not0f = (is0f8 ^ 1).astype(_np.uint16)
-    F = (
-        F * not0f
-        + F1 * is2.astype(_np.uint16)
-        + _C38 * is38.view(_np.uint8).astype(_np.uint16)
-        + _C3A * is3a.view(_np.uint8).astype(_np.uint16)
-    )
+    v = odd[cls == _VEX]
+    lead = bp[v]
+    c4 = lead == 0xC4
+    evex = lead == 0x62
+    p1 = bp[v + 1]
+    mp = _np.where(c4, p1 & 0x1F, _np.where(evex, p1 & 7, 1))
+    o = v + 2 + c4 + evex * 2  # the opcode byte
+    e = _TVEX[(mp.astype(_np.intp) << 8) | bp[o]]
+    mrm = bp[o + 1]
+    rmlen = _RMLEN[mrm] + ((_RMSIB5[mrm] != 0) & (bp[o + 2] & 7 == 5)) * 4
+    E[v] = o - v + 1 + rmlen * (e & _VMODRM != 0) + (e & (0xFFFF ^ _VMODRM))
 
-    ic = (F & 15).astype(_np.uint8)
-    hasmod = ((F >> 4) & 1).astype(_np.uint8)
-    inv = ((F >> 5) & 1).astype(_np.uint8)
-    wrm = ((F >> 6) & 1).astype(_np.uint8)
-    strw = ((F >> 7) & 1).astype(_np.uint8)
-    flw = (F >> 8).astype(_np.uint8) & 15
+    p = odd[cls == _PFX]
+    if len(p):
+        last = _np.empty(len(p), bool)
+        last[:-1] = p[1:] != p[:-1] + 1
+        last[-1] = True
+        ends = _np.flatnonzero(last)
+        run = _np.repeat(ends, _np.diff(ends, prepend=-1))  # each one's run end
+        j = p[run] + 1  # the first byte after the run
+        e = E[j]
+        ln = (j - p) + (e & _LEN)
+        b = bp[p]
+        for val, flag, shrink in ((0x66, _Z66, 2), (0x67, _M67, 4)):
+            hit = b == val
+            c = _np.cumsum(hit)
+            ln -= ((c[run] > c - hit) & (e & flag != 0)) * shrink
+        ok = (e & _LEN != 0) & (ln <= MAX_INSN_LEN)
+        E[p] = ((e & (0xFFFF ^ _LEN)) | ln) * ok
 
-    nop = 1 + is0f8 + esc3  # opcode bytes: 1..3
-    mrel = rex8 + nop  # modrm offset from the first byte: 1..4
-    e1 = (mrel == 1).view(_np.uint8)
-    e2 = (mrel == 2).view(_np.uint8)
-    e3 = (mrel == 3).view(_np.uint8)
-    e4 = (mrel == 4).view(_np.uint8)
-    mb = B[1] * e1 + B[2] * e2 + B[3] * e3 + B[4] * e4
-    sibb = B[2] * e1 + B[3] * e2 + B[4] * e3 + B[5] * e4
-    mod = mb >> 6
-    rm = mb & 7
-    mem = hasmod & (mod != 3).view(_np.uint8)
-    hassib = mem & (rm == 4).view(_np.uint8)
-    d4 = mem & (
-        ((mod == 2) | ((mod == 0) & ((rm == 5) | ((rm == 4) & ((sibb & 7) == 5))))).view(
-            _np.uint8
-        )
-    )
-    d1 = mem & (mod == 1).view(_np.uint8)
-    disp = d1 + d4 * 4
-
-    rexw = rex8 & ((B0 & 0x08) != 0).view(_np.uint8)
-    modreg = (mb >> 3) & 7
-    # imm length; common path has no 66/67 so z=4, moffs=8.
-    ilen = ((ic == 1) | (ic == 6)).view(_np.uint8)
-    ilen += ((ic == 2).view(_np.uint8)) * 2
-    ilen += (((ic == 3) | (ic == 7)).view(_np.uint8)) * 4
-    ilen += ((ic == 4).view(_np.uint8)) * (4 + 4 * rexw)
-    ilen += ((ic == 5).view(_np.uint8)) * 3
-    ilen += ((ic == 8).view(_np.uint8)) * 8
-    g3 = ((ic == 9).view(_np.uint8)) & hasmod & ((modreg < 2).view(_np.uint8))
-    ilen += g3 * (1 + 3 * ((bk != 0xF6).view(_np.uint8)))
-
-    L = rex8 + nop + hasmod + hassib + disp + ilen
-    isvex = (B0 == 0xC4) | (B0 == 0xC5) | (B0 == 0x62)
-    ok = (inv ^ 1) & ((isvex | haspfx).view(_np.uint8) ^ 1)
-    L = L * ok
-    cand = ((flw == 1) | (flw == 2)).view(_np.uint8)
-    cand += (flw == 3).view(_np.uint8) * 2
-    cand += (strw | (wrm & mem)) * 4
-    cand = cand * ok
-    L += isvex.view(_np.uint8) * _VEX_SENTINEL  # prefix positions fixed below
-
-    # Sparse fixup: positions that start with legacy prefixes (~0-10 %).
-    pf = _np.nonzero(haspfx)[0]
-    if len(pf):
-        npfxp = npfx[pf].astype(_np.int64)
-        # 66/67 presence inside each run: doubling with carry.  Sound
-        # because the terminating byte of a run is a non-prefix byte and
-        # can therefore never equal 0x66/0x67 itself.
-        g66 = _np.zeros(n + pad, _np.uint8)
-        g66[:n] = B0 == 0x66
-        g67 = _np.zeros(n + pad, _np.uint8)
-        g67[:n] = B0 == 0x67
-        rr = Pn.copy()
-        for k in (1, 2, 4, 8):
-            cont = (rr[: n + pad - k] == k).view(_np.uint8)
-            g66[: n + pad - k] |= cont * g66[k:]
-            g67[: n + pad - k] |= cont * g67[k:]
-            rr[: n + pad - k] += cont * rr[k:]
-        j = pf + npfxp
-        opsz = g66[pf].astype(bool)
-        adsz = g67[pf].astype(bool)
-        bjp = BP[j]
-        isrexp = (bjp >= 0x40) & (bjp < 0x50)
-        rexp = isrexp.astype(_np.int64)
-        kp = j + rexp
-        bkp = BP[kp]
-        is0fp = bkp == 0x0F
-        b2p = BP[kp + 1]
-        is38p = is0fp & (b2p == 0x38)
-        is3ap = is0fp & (b2p == 0x3A)
-        nopp = 1 + is0fp.astype(_np.int64) + (is38p | is3ap).astype(_np.int64)
-        Fp = _np.where(
-            is0fp,
-            _np.where(is38p, _C38, _np.where(is3ap, _C3A, _LUT1[b2p])),
-            _LUT0[bkp],
-        )
-        icp = (Fp & 15).astype(_np.uint8)
-        hasmodp = ((Fp >> 4) & 1).astype(_np.int64)
-        invp = ((Fp >> 5) & 1).astype(bool)
-        wrmp = ((Fp >> 6) & 1).astype(bool)
-        strwp = ((Fp >> 7) & 1).astype(bool)
-        flwp = (Fp >> 8) & 15
-        mp = kp + nopp
-        mbp = BP[mp]
-        modp = mbp >> 6
-        rmp = mbp & 7
-        memp = (hasmodp == 1) & (modp != 3)
-        sibp = memp & (rmp == 4)
-        sibbp = BP[mp + 1]
-        dispp = _np.where(
-            memp,
-            _np.where(
-                modp == 1,
-                1,
-                _np.where(
-                    modp == 2,
-                    4,
-                    _np.where(
-                        rmp == 5,
-                        4,
-                        _np.where((rmp == 4) & ((sibbp & 7) == 5), 4, 0),
-                    ),
-                ),
-            ),
-            0,
-        ).astype(_np.int64)
-        rexwp = isrexp & ((bjp & 8) != 0)
-        modregp = (mbp >> 3) & 7
-        zl = _np.where(opsz, 2, 4).astype(_np.int64)
-        ilenp = _np.zeros(len(pf), _np.int64)
-        ilenp = _np.where((icp == 1) | (icp == 6), 1, ilenp)
-        ilenp = _np.where(icp == 2, 2, ilenp)
-        ilenp = _np.where((icp == 3) | (icp == 7), zl, ilenp)
-        ilenp = _np.where(icp == 4, _np.where(rexwp, 8, zl), ilenp)
-        ilenp = _np.where(icp == 5, 3, ilenp)
-        ilenp = _np.where(icp == 8, _np.where(adsz, 4, 8), ilenp)
-        g3p = (icp == 9) & (hasmodp == 1) & (modregp < 2)
-        ilenp = _np.where(g3p, _np.where(bkp == 0xF6, 1, zl), ilenp)
-        Lp = npfxp + rexp + nopp + hasmodp + sibp.astype(_np.int64) + dispp + ilenp
-        vexp = ~isrexp & ((bjp == 0xC4) | (bjp == 0xC5) | (bjp == 0x62))
-        okp = ~invp & ~vexp & (Lp <= 15)
-        candp = ((flwp == 1) | (flwp == 2)).astype(_np.uint8)
-        candp += (flwp == 3).astype(_np.uint8) * 2
-        candp += (strwp | (wrmp & memp)).astype(_np.uint8) * 4
-        Lp = _np.where(okp, Lp, 0)
-        Lp = _np.where(vexp, _VEX_SENTINEL, Lp)
-        L[pf] = Lp.astype(_np.uint8)
-        cand[pf] = _np.where(okp, candp, 0)
-
-    # Tail truncation: only the last 16 positions can run off the end.
-    t0 = max(0, n - 16)
-    Lt = L[t0:].astype(_np.int64)
-    idxt = _np.arange(t0, n)
-    bad = (Lt != _VEX_SENTINEL) & (idxt + Lt > n)
-    L[t0:][bad] = 0
-    cand[t0:][bad] = 0
-    # The common-path sum can reach 18; anything over 15 is invalid.
-    over = (L > 15) & (L != _VEX_SENTINEL)
-    L[over] = 0
-    cand[over] = 0
-    return L, cand
+    E = E[:n]
+    t0 = max(0, n - MAX_INSN_LEN)
+    tail = E[t0:]
+    tail[_np.arange(t0, n) + (tail & _LEN) > n] = 0
+    return E
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +344,14 @@ def _vector_walk(buf, stop: int, entry: int):
     """
     nbuf = len(buf)
     mv = memoryview(buf)
+    # The step function and its powers live in two intp buffers allocated
+    # once per walk (the first doubles as the scan's key buffer): numpy
+    # casts any other index dtype to intp on every gather.  Past the
+    # window end the step is the identity, so composed pointers stall at
+    # the window exit.
+    size = min(stop, _WINDOW) + MAX_INSN_LEN + 1
+    ident = _np.arange(size, dtype=_np.intp)
+    pa, pb = _np.empty(size, _np.intp), _np.empty(size, _np.intp)
     parts_s = []
     parts_m = []
     pos = entry
@@ -379,52 +362,34 @@ def _vector_walk(buf, stop: int, entry: int):
             lo = hi
             continue
         wn = hi - lo
-        ext = min(nbuf, hi + _LOOKAHEAD)
-        L, cand = _scan(mv[lo:ext])
-        L = L[:wn]
-        cand = cand[:wn]
-        sent = _np.nonzero(L == _VEX_SENTINEL)[0]
-        if len(sent):
-            # VEX/EVEX positions: resolve against the real buffer so
-            # truncation at the true end is judged exactly.
-            for i in sent.tolist():
-                try:
-                    insn = decode(buf, lo + i)
-                except DecodeError:
-                    L[i] = 0
-                    cand[i] = 0
-                else:
-                    L[i] = insn._len
-                    cand[i] = _cand_of(insn)
-        step = _np.maximum(L, 1).astype(_np.int32)
-        nxt = _np.arange(wn + 24, dtype=_np.int32)
-        nxt[:wn] += step
-        # nxt is the identity past wn: composed pointers stall there, so
-        # every chain position >= wn maps to itself (the window exit).
-        n2 = nxt[nxt]
-        n4 = n2[n2]
-        n8 = n4[n4]
-        n16 = n8[n8]
+        E = _scan(mv[lo : min(nbuf, hi + _LOOKAHEAD)], pa)[:wn]
+        step = E & _LEN
+        _np.maximum(step, 1, out=step)
+        m = wn + MAX_INSN_LEN
+        a, b = pa[:m], pb[:m]
+        _np.add(step, ident[:wn], out=b[:wn])
+        b[wn:] = ident[wn:m]
+        _np.take(b, b, out=a, mode="clip")  # next^2
+        _np.take(a, a, out=b, mode="clip")  # next^4
+        _np.take(b, b, out=a, mode="clip")  # next^8
+        _np.take(a, a, out=b, mode="clip")  # next^16
         off = pos - lo
         anchors = []
         aap = anchors.append
-        jump16 = n16.item
+        jump16 = b.item
         while off < wn:
             aap(off)
             off = jump16(off)
-        A = _np.array(anchors, _np.int32)
-        cols = _np.empty((16, len(A)), _np.int32)
-        cols[0] = A
-        cur = A
+        # The 15 starts after each anchor, stepping through the (small,
+        # cache-resident) step array rather than the intp pointers.
+        cols = _np.empty((16, len(anchors)), _np.int32)
+        cols[0] = anchors
         for j in range(1, 16):
-            cur = nxt[cur]
-            cols[j] = cur
+            _np.add(cols[j - 1], step.take(cols[j - 1], mode="clip"), out=cols[j])
         starts = cols.T.ravel()
-        end = int(_np.searchsorted(starts, wn))
-        starts = starts[:end]
+        starts = starts[: _np.searchsorted(starts, wn)]
         parts_s.append(starts + lo)
-        valid = (L[starts] > 0).view(_np.uint8) * _np.uint8(SB_VALID)
-        parts_m.append(cand[starts] | valid)
+        parts_m.append((E[starts] >> _SB & 15).astype(_np.uint8))
         last = int(starts[-1])
         pos = lo + last + int(step[last])
         lo = hi
@@ -437,21 +402,11 @@ def _scalar_bits(buf, off: int):
     """``(step, mbits)`` at *off*, exactly as the vectorized sweep sees it.
 
     Used by seam reconciliation so a spliced stream is bit-identical to
-    the serial one: the 40-byte slice reproduces the window scan's view
-    of this position (same lookahead, same truncation judgement).
+    the serial one: the scan of a 15-byte slice computes this position
+    from the same bytes as the window scan.
     """
-    end = min(len(buf), off + _LOOKAHEAD + 24)
-    L, cand = _scan(memoryview(buf)[off:end])
-    ln = int(L[0])
-    if ln == _VEX_SENTINEL:
-        try:
-            insn = decode(buf, off)
-        except DecodeError:
-            return 1, 0
-        return insn._len, _cand_of(insn) | SB_VALID
-    if ln == 0:
-        return 1, 0
-    return ln, int(cand[0]) | SB_VALID
+    e = int(_scan(memoryview(buf)[off : off + MAX_INSN_LEN])[0])
+    return max(e & _LEN, 1), e >> _SB & 15
 
 
 # ---------------------------------------------------------------------------

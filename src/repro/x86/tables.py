@@ -401,15 +401,25 @@ def two_byte_spec(opcode: int) -> OpSpec:
     return TWO_BYTE.get(opcode, _TB_DEFAULT)
 
 
-# VEX/EVEX imm8 opcodes in map 1 (the 0F map): these carry imm8 in their
-# VEX-encoded forms as well; reuse the legacy table's imm classification.
+# VEX/EVEX map-1 opcodes whose r/m operand is the destination (the
+# vmovups/vmovlps/vmovhps/vmovaps/vmovntps/vmovdqa/vmovq/vmovntdq stores).
+VEX_MAP1_STORES = frozenset({0x11, 0x13, 0x17, 0x29, 0x2B, 0x7F, 0xD6, 0xE7})
+
+# (map, opcode) pairs of VEX/EVEX instructions without a ModRM byte:
+# vzeroupper/vzeroall.
+VEX_NO_MODRM = frozenset({(1, 0x77)})
+
+
+# Immediate kind of every VEX/EVEX (map, opcode): map 1 (the 0F map)
+# reuses the legacy table's classification, map 3 (0F3A) is imm8
+# throughout, and maps 2 (0F38) and 4+ (EVEX only) carry no immediates in
+# the subset we care about.
+_VEX_IMM = [[Imm.NONE] * 256 for _ in range(32)]
+_VEX_IMM[1] = [two_byte_spec(_op).imm for _op in range(256)]
+_VEX_IMM[3] = [Imm.IB] * 256
+
+
 def vex_imm_kind(map_select: int, opcode: int) -> Imm:
-    """Immediate kind for a VEX/EVEX-encoded opcode in the given map."""
-    if map_select == 1:
-        return two_byte_spec(opcode).imm
-    if map_select == 2:
-        return Imm.NONE
-    if map_select == 3:
-        return Imm.IB
-    # Maps 4+ (EVEX only): no immediates in the subset we care about.
-    return Imm.NONE
+    """Immediate kind for a VEX/EVEX-encoded opcode in the given map
+    (0-31, the widest map-select field)."""
+    return _VEX_IMM[map_select][opcode]
