@@ -16,16 +16,12 @@ Comparison rules, by metric name:
 * ``*_mb_s`` / ``*_sites_s`` / ``*_rps`` (throughput rates, higher is
   better) — regression when the current value falls below
   ``baseline / (1 + threshold)``;
-* ``*_visits`` (work counters, lower is better) — regression when the
-  current value grows past ``baseline * (1 + threshold)``;
+* ``*_visits`` (work counters) and ``*.loc`` (source line counts, e.g.
+  ``src.loc``), lower is better — regression when the current value
+  grows past ``baseline * (1 + threshold)``;
 * ``*_runs`` / ``*_configs`` / ``*_pct`` and other exact metrics —
   regression when a counter grows (``_runs``: the warm cache must keep
   reporting zero decode work) or a percentage shrinks (``_pct``).
-
-One rule is conditional: ``parallel.speedup`` is skipped entirely when
-the current run reports ``parallel.effective_workers <= 1`` — on a
-serial-fallback host (one CPU, or a forced ``--jobs 1``) the parallel
-section measures pool overhead, not parallelism.
 
 Metrics present only in the current run are reported but never fail
 the gate, so adding a measurement does not require regenerating the
@@ -69,7 +65,7 @@ def compare_metric(name: str, base, cur, threshold: float,
             return True, (f"throughput dropped: {base} -> {cur} "
                           f"(<{floor:.1f})")
         return False, f"{base} -> {cur}"
-    if name.endswith("_visits"):
+    if name.endswith(("_visits", ".loc")):
         limit = base * (1.0 + threshold)
         if cur > limit:
             return True, f"work grew: {base} -> {cur} (>{limit:.0f})"
@@ -127,14 +123,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"bench gate: threshold {args.threshold:.0%}, "
           f"baseline host {baseline.get('host', {})}")
     for name in sorted(base_metrics):
-        if (name == "parallel.speedup"
-                and cur_metrics.get("parallel.effective_workers", 2) <= 1):
-            # One effective worker (e.g. a single-CPU runner): the
-            # parallel section fell back to the serial path, so the
-            # ratio measures overhead, not parallelism — not gateable.
-            print(f"  {name.ljust(width)}  skip  "
-                  "parallel.effective_workers <= 1 (serial-fallback host)")
-            continue
         if name not in cur_metrics:
             # A metric present only in the baseline would otherwise read
             # as "never fails": warn distinctly so it cannot vanish

@@ -9,7 +9,7 @@ overhead, and output-size delta.
 
 CI runs this twice:
 
-* the ``eval-matrix`` job runs ``--cells pr`` (the reduced 24-cell
+* the ``eval-matrix`` job runs ``--cells pr`` (the reduced 20-cell
   matrix, including the ``libsynth-cet.so`` shared-object column
   judged dlopen-style at a nonzero base) on every PR and gates the
   result against the committed
@@ -51,12 +51,6 @@ def main(argv: list[str] | None = None) -> int:
         help="result JSON path (schema repro-matrix/1)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        help="worker count for parallel-combo cells (default 4)",
-    )
-    parser.add_argument(
         "--max-sites",
         type=int,
         default=MAX_WORKLOAD_SITES,
@@ -92,7 +86,6 @@ def main(argv: list[str] | None = None) -> int:
     payload = run_matrix(
         cells,
         suite=suite,
-        jobs=args.jobs,
         max_sites=args.max_sites,
         oracle=not args.no_oracle,
         repeats=args.repeats,

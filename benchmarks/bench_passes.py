@@ -1,24 +1,24 @@
 """Per-pass timing smoke bench with a machine-readable result file.
 
-Runs the staged pipeline over a mid-sized synthetic binary six ways —
-single rewrite, verified rewrite, 3-config batch, serial-vs-parallel
-8-config batch, chunked-vs-serial decode, cold-vs-warm artifact cache —
-prints the per-pass wall-time breakdown, and writes every measurement
-as JSON (default ``benchmarks/out/BENCH_passes.json``, schema
-``repro-bench/1``).
+Runs the staged pipeline over a mid-sized synthetic binary four ways —
+single rewrite, verified rewrite, 3-config batch, cold-vs-warm artifact
+cache — prints the per-pass wall-time breakdown, records the source
+size (``src.loc``: physical lines of ``src/repro/**/*.py``), and writes
+every measurement as JSON (default ``benchmarks/out/BENCH_passes.json``,
+schema ``repro-bench/1``).
 
 ``--large [PROFILE]`` switches to the browser-scale mode instead: it
 decodes a 50-100 MB :class:`~repro.synth.profiles.LargeTextProfile`
-section serially and chunked, requires both to be byte-identical to
-each other *and* to a full ``decode_reference`` oracle walk, and writes
+section, requires the stream to be identical to a full
+``decode_reference`` oracle walk, and writes
 ``benchmarks/out/BENCH_large.json`` (CI's scheduled ``bench-large``
 job).
 
 CI uses it twice: as a smoke job that exits nonzero if the pipeline or
-its accounting regresses (success rate, shared decode, parallel
-byte-identity, warm-cache decode count), and as the producer for the
-``bench-gate`` job, which compares the JSON against the committed
-baseline ``benchmarks/BENCH_passes.json`` (see ``bench_gate.py``).
+its accounting regresses (success rate, shared decode, warm-cache
+decode count), and as the producer for the ``bench-gate`` job, which
+compares the JSON against the committed baseline
+``benchmarks/BENCH_passes.json`` (see ``bench_gate.py``).
 
 ``BENCH_INJECT_SLOWDOWN=<factor>`` multiplies every reported wall time
 before writing — the documented way to prove the regression gate trips
@@ -36,7 +36,7 @@ import sys
 import tempfile
 import time
 
-from repro.core.cache import ArtifactCache
+from repro.core.cache import ArtifactStore
 from repro.core.observe import Observer
 from repro.core.rewriter import RewriteOptions
 from repro.core.strategy import TacticToggles
@@ -44,10 +44,8 @@ from repro.frontend.tool import instrument_elf, rewrite_many
 from repro.synth.generator import SynthesisParams, synthesize
 
 N_SITES = 2000
-#: Sites per config for the parallel batch (kept lighter: 8 configs).
-N_PARALLEL_SITES = 1000
-PARALLEL_JOBS = 4
 SCHEMA = "repro-bench/1"
+SRC_ROOT = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def section(title: str, obs: Observer) -> None:
@@ -63,55 +61,10 @@ def section(title: str, obs: Observer) -> None:
     print()
 
 
-def parallel_batch_configs() -> list[RewriteOptions]:
-    """Eight distinct configurations over one binary."""
-    return [
-        RewriteOptions(mode="loader", granularity=g,
-                       toggles=TacticToggles(t3=t3))
-        for g in (1, 2, 4, 8) for t3 in (True, False)
-    ]
-
-
-def bench_serial_vs_parallel(data: bytes, jobs: int,
-                             metrics: dict) -> str | None:
-    """Measure the same 8-config batch serially and with *jobs* workers;
-    any output byte difference is a hard failure."""
-    from repro.core.parallel import BatchExecutor
-
-    configs = parallel_batch_configs()
-    # How many workers the pool can actually use here (folds in the CPU
-    # count): the gate skips the speedup rule when this is <= 1, since a
-    # serial-fallback host measures pure overhead, not parallelism.
-    metrics["parallel.effective_workers"] = (
-        BatchExecutor(jobs).effective_workers(len(configs)))
-
-    t0 = time.perf_counter()
-    serial = rewrite_many(data, list(configs), matcher="jumps", jobs=1)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel = rewrite_many(data, list(configs), matcher="jumps", jobs=jobs)
-    parallel_s = time.perf_counter() - t0
-
-    if [r.result.data for r in serial] != [r.result.data for r in parallel]:
-        return "parallel batch output differs from serial"
-    speedup = serial_s / parallel_s if parallel_s > 0 else 0.0
-    metrics["parallel.batch_configs"] = len(configs)
-    metrics["parallel.jobs"] = jobs
-    metrics["parallel.serial_s"] = serial_s
-    metrics["parallel.parallel_s"] = parallel_s
-    metrics["parallel.speedup"] = round(speedup, 3)
-    cpus = os.cpu_count() or 1
-    print(f"== serial vs parallel ({len(configs)} configs, "
-          f"jobs={jobs}, cpus={cpus}) ==")
-    print(f"serial   {serial_s:8.3f} s")
-    print(f"parallel {parallel_s:8.3f} s   speedup {speedup:.2f}x")
-    print()
-    # The >=1.5x claim holds on multi-core hosts (the CI runners); a
-    # single-core container can only run the determinism check.
-    if cpus >= 4 and jobs >= 4 and speedup < 1.5:
-        return f"parallel speedup {speedup:.2f}x < 1.5x on a {cpus}-cpu host"
-    return None
+def count_src_lines() -> int:
+    """Physical line count of ``src/repro/**/*.py`` (``wc -l`` semantics)."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in SRC_ROOT.rglob("*.py"))
 
 
 def check_decode_identity(data: bytes, metrics: dict) -> str | None:
@@ -151,46 +104,6 @@ def check_decode_identity(data: bytes, metrics: dict) -> str | None:
     if mismatches:
         return (f"fast/reference decoder mismatch on {mismatches} of "
                 f"{checked} instructions")
-    return None
-
-
-def bench_chunked(data: bytes, metrics: dict) -> str | None:
-    """Chunked intra-binary decode vs the serial sweep: identical
-    instruction starts required, throughput and boundary-reconciliation
-    counters reported (see docs/PERF.md).  Skipped without numpy (the
-    fast path is an optional extra; the scalar decoder has no chunked
-    mode)."""
-    from repro.x86.fastscan import HAVE_NUMPY, decode_stream
-
-    if not HAVE_NUMPY:
-        print("== chunked decode == skipped (numpy unavailable)\n")
-        return None
-    from repro.elf.reader import ElfFile
-
-    # Tile the bench binary's .text to a few MB so per-chunk overhead
-    # amortizes and the throughput number is stable run to run.
-    text = bytes(ElfFile(data).section_view(".text"))
-    text = text * max(1, (4 << 20) // len(text))
-
-    t0 = time.perf_counter()
-    serial = decode_stream(text)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    chunked = decode_stream(text, chunk_size=256 << 10)
-    chunked_s = time.perf_counter() - t0
-
-    metrics["chunked.decode_mb_s"] = (
-        round(len(text) / chunked_s / 1e6, 3) if chunked_s else 0.0)
-    metrics["chunked.chunks"] = chunked.chunks
-    metrics["chunked.reconcile_steps"] = chunked.reconcile_retries
-    print(f"== chunked decode ({len(text) >> 20} MB, {chunked.chunks} "
-          f"chunks, {chunked.reconcile_retries} reconcile steps) ==")
-    print(f"serial  {len(text) / serial_s / 1e6:8.2f} MB/s   "
-          f"chunked {len(text) / chunked_s / 1e6:8.2f} MB/s")
-    print()
-    if chunked.start_offsets() != serial.start_offsets():
-        return "chunked decode starts differ from the serial sweep"
     return None
 
 
@@ -241,9 +154,9 @@ def check_stream_reference_identity(blob, stream, metrics: dict,
 
 
 def bench_large(profile_name: str, metrics: dict) -> str | None:
-    """The browser-scale section: serial + chunked decode of a
-    ``LargeTextProfile`` (50-100 MB of synthetic code), identity-checked
-    against the serial sweep *and* the reference oracle."""
+    """The browser-scale section: decode a ``LargeTextProfile``
+    (50-100 MB of synthetic code) and identity-check the stream against
+    the reference oracle."""
     from repro.synth.profiles import LARGE_TEXT_PROFILES
     from repro.x86.fastscan import HAVE_NUMPY, decode_stream
 
@@ -263,31 +176,14 @@ def bench_large(profile_name: str, metrics: dict) -> str | None:
     print(f"build  {build_s:8.3f} s")
     print(f"serial {serial_s:8.3f} s   "
           f"{len(blob) / serial_s / 1e6:8.2f} MB/s")
-
-    if HAVE_NUMPY:
-        t0 = time.perf_counter()
-        chunked = decode_stream(blob, chunk_size=8 << 20)
-        chunked_s = time.perf_counter() - t0
-        metrics["large.chunked_mb_s"] = round(len(blob) / chunked_s / 1e6, 3)
-        metrics["large.chunks"] = chunked.chunks
-        metrics["large.reconcile_steps"] = chunked.reconcile_retries
-        print(f"chunked {chunked_s:7.3f} s   "
-              f"{len(blob) / chunked_s / 1e6:8.2f} MB/s   "
-              f"({chunked.chunks} chunks, "
-              f"{chunked.reconcile_retries} reconcile steps)")
-        print()
-        if chunked.start_offsets() != serial.start_offsets():
-            return "large chunked decode starts differ from serial sweep"
-    else:
-        print()
-
+    print()
     return check_stream_reference_identity(blob, serial, metrics)
 
 
 def bench_cache(data: bytes, metrics: dict) -> str | None:
     """Cold-vs-warm artifact cache; a warm run must do zero decode work."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        cold_cache = ArtifactCache(tmp)
+        cold_cache = ArtifactStore(tmp)
         obs_cold = Observer()
         t0 = time.perf_counter()
         cold = rewrite_many(data, [RewriteOptions(mode="loader")],
@@ -295,7 +191,7 @@ def bench_cache(data: bytes, metrics: dict) -> str | None:
                             cache=cold_cache)
         cold_s = time.perf_counter() - t0
 
-        warm_cache = ArtifactCache(tmp)
+        warm_cache = ArtifactStore(tmp)
         obs_warm = Observer()
         t0 = time.perf_counter()
         warm = rewrite_many(data, [RewriteOptions(mode="loader")],
@@ -359,13 +255,11 @@ def main(argv: list[str] | None = None) -> int:
         "benchmarks/out/BENCH_passes.json, or BENCH_large.json "
         "under --large",
     )
-    parser.add_argument("--jobs", type=int, default=PARALLEL_JOBS,
-                        help="worker count for the parallel section")
     parser.add_argument(
         "--large", nargs="?", const="bigtext-50", metavar="PROFILE",
         help="run ONLY the browser-scale decode section on the named "
-        "LargeTextProfile (default bigtext-50): serial + chunked decode "
-        "with a full reference-oracle identity walk",
+        "LargeTextProfile (default bigtext-50): serial decode with a "
+        "full reference-oracle identity walk",
     )
     args = parser.parse_args(argv)
     out = pathlib.Path(args.out) if args.out else (
@@ -440,18 +334,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("batch rewrite did not share the decode pass")
     section("3-config batch (decode/match shared)", obs)
 
-    parallel_binary = synthesize(SynthesisParams(
-        n_jump_sites=N_PARALLEL_SITES,
-        n_write_sites=N_PARALLEL_SITES // 2, seed=1717))
-    failure = bench_serial_vs_parallel(parallel_binary.data, args.jobs,
-                                       metrics)
-    if failure:
-        failures.append(failure)
-
-    failure = bench_chunked(binary.data, metrics)
-    if failure:
-        failures.append(failure)
-
     failure = bench_cache(binary.data, metrics)
     if failure:
         failures.append(failure)
@@ -459,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     failure = check_decode_identity(binary.data, metrics)
     if failure:
         failures.append(failure)
+
+    metrics["src.loc"] = count_src_lines()
+    print(f"== source size ==\nsrc.loc = {metrics['src.loc']}\n")
 
     write_result(out, metrics)
     if failures:

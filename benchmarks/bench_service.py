@@ -41,7 +41,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.cache import CacheConfig
-from repro.core.parallel import ExecutorConfig
 from repro.core.rewriter import RewriteOptions
 from repro.frontend.tool import instrument_elf
 from repro.service import RewriteService, ServiceClient, ServiceConfig
@@ -85,7 +84,6 @@ def run_service_phase(tmp: pathlib.Path, binaries: dict[int, bytes],
         request_timeout=120.0,
         drain_timeout=30.0,
         cache=CacheConfig.from_env(tmp / "store"),
-        executor=ExecutorConfig(jobs=1),
     )
     service = RewriteService(config)
     thread = threading.Thread(target=lambda: asyncio.run(service.run()),

@@ -1,19 +1,16 @@
 """Content-addressed on-disk artifact store for the rewrite pipeline.
 
 Rewriting the same binary twice should not decode it twice.  The store
-persists the expensive, deterministic intermediates of the pipeline —
-decoded instruction streams, matcher results, and (optionally) whole
-rewrite results — keyed by SHA-256 over everything that could change
-them:
+persists the two expensive, deterministic intermediates of the pipeline
+— decoded instruction streams and matcher results — keyed by SHA-256
+over everything that could change them:
 
 * the input bytes;
 * a *toolchain fingerprint* — a digest of the decoder/frontend source
   modules plus a schema version, so editing the decoder (or bumping
   :data:`SCHEMA_VERSION`) invalidates every stale entry without any
   manual cache management;
-* the frontend name, matcher spec, instrumentation spec, and the
-  :class:`~repro.core.pipeline.RewriteOptions` in play, as applicable
-  per artifact kind.
+* the frontend name and, for match entries, the matcher spec.
 
 Entries live under ``~/.cache/repro`` (or ``$REPRO_CACHE_DIR``) as
 ``<kind>/<aa>/<key>.pkl`` files, written atomically (temp file +
@@ -50,7 +47,7 @@ import pickle
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 try:  # advisory per-entry locking (POSIX; degrades to lock-free elsewhere)
@@ -70,12 +67,15 @@ CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Modules whose source feeds the toolchain fingerprint: anything that
-#: changes what a decoded stream or a match result *means*.
+#: changes what a decoded stream or a match result *means* — including
+#: fastscan, which computes a stream's start offsets and the candidate
+#: bits that prune named-matcher sites.
 _FINGERPRINT_MODULES = (
     "repro.x86.decoder",
     "repro.x86.tables",
     "repro.x86.prefixes",
     "repro.x86.insn",
+    "repro.x86.fastscan",
     "repro.frontend.lineardisasm",
     "repro.frontend.matchers",
 )
@@ -98,10 +98,6 @@ def compute_toolchain_fingerprint() -> str:
             with open(path, "rb") as f:
                 h.update(f.read())
     return h.hexdigest()
-
-
-#: Backwards-compatible name for the pure computation.
-toolchain_fingerprint = compute_toolchain_fingerprint
 
 
 @dataclass(frozen=True)
@@ -168,9 +164,9 @@ class ArtifactStore:
     """Size-capped, content-addressed, concurrency-safe pickle store.
 
     The generic surface is ``get(kind, key)`` / ``put(kind, key, value)``
-    plus the key builders (:meth:`decode_key`, :meth:`match_key`,
-    :meth:`output_key`).  Failures to read or write are swallowed by
-    design — a cache must only ever make runs faster, never break them.
+    plus the key builders (:meth:`decode_key`, :meth:`match_key`).
+    Failures to read or write are swallowed by design — a cache must
+    only ever make runs faster, never break them.
 
     An optional *observer* receives every stat tick as live ``cache.*``
     counters (``cache.hits``, ``cache.misses``, ``cache.stores``,
@@ -251,16 +247,6 @@ class ArtifactStore:
         stable identity across processes.
         """
         return self._digest("match", decode_key, matcher_spec)
-
-    def output_key(self, decode_key: str, matcher_spec: str,
-                   options, instrumentation_spec: str) -> str:
-        """Key for a full rewrite result.  ``repr(options)`` is the
-        options fingerprint — :class:`RewriteOptions` is a plain
-        dataclass, so its repr deterministically covers every field."""
-        return self._digest(
-            "output", decode_key, matcher_spec,
-            instrumentation_spec, repr(options),
-        )
 
     # -- per-entry locking -------------------------------------------------
 
@@ -393,7 +379,3 @@ class ArtifactStore:
     def size_bytes(self) -> int:
         """Current total size of every entry on disk."""
         return sum(size for _, size, _ in self._entries())
-
-
-#: Backwards-compatible alias: the PR-2 name for the store.
-ArtifactCache = ArtifactStore

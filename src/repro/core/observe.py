@@ -45,9 +45,6 @@ class Observer:
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
 
-    def set_counter(self, name: str, value: int) -> None:
-        self.counters[name] = value
-
     def emit(self, event: str, **payload) -> None:
         for hook in self.hooks:
             hook(event, payload)
@@ -71,7 +68,7 @@ class Observer:
         """How many times pass *name* has executed under this observer."""
         return self.counters.get(f"pass.{name}.runs", 0)
 
-    # -- scoped views and cross-observer accumulation --------------------
+    # -- scoped views ----------------------------------------------------
 
     def snapshot(self) -> tuple[dict[str, float], dict[str, int]]:
         """Freeze the current timings/counters (see :meth:`since`)."""
@@ -93,15 +90,6 @@ class Observer:
         counters = {k: v - c0.get(k, 0) for k, v in self.counters.items()
                     if v - c0.get(k, 0) != 0}
         return timings, counters
-
-    def merge(self, timings: dict[str, float],
-              counters: dict[str, int]) -> None:
-        """Fold another observer's accumulations into this one (used to
-        absorb worker-process observers after a parallel batch)."""
-        for name, seconds in timings.items():
-            self.timings[name] = self.timings.get(name, 0.0) + seconds
-        for name, n in counters.items():
-            self.counters[name] = self.counters.get(name, 0) + n
 
     def throughput(self) -> dict[str, float | int]:
         """Derived hot-path rate metrics (see INTERNALS.md §7).
@@ -156,14 +144,6 @@ def derive_throughput(
     decode_bytes = counters.get("decode.bytes", 0)
     if decode_s > 0.0 and decode_bytes:
         out["decode_mb_s"] = round(decode_bytes / decode_s / 1e6, 3)
-    chunks = counters.get("decode.chunks", 0)
-    if chunks > 1:
-        # Chunked intra-binary decode ran: surface the fan-out shape and
-        # how much boundary reconciliation it cost (scalar re-decode
-        # steps across chunk seams until self-synchronization).
-        out["decode_chunks"] = chunks
-        out["decode_reconcile_retries"] = counters.get(
-            "decode.reconcile_retries", 0)
     plan_s = timings.get("plan", 0.0)
     plan_sites = counters.get("plan.sites", 0)
     if plan_s > 0.0 and plan_sites:

@@ -1,26 +1,10 @@
-"""Parallel execution layer for batch rewriting.
+"""Worker-count configuration for long-lived processes.
 
-E9Patch's headline claim is throughput — Chrome's 86MB of code in under
-a second — and batch workloads (eval sweeps, ablations, corpus rewrites)
-are embarrassingly parallel: every (binary, configuration) pair is an
-independent unit of work.  :class:`BatchExecutor` fans such units out
-across a :mod:`multiprocessing` pool with three guarantees:
-
-* **deterministic ordering** — results come back in input order, no
-  matter which worker finished first;
-* **byte-identical fallback** — when parallelism is unavailable
-  (``jobs=1``, a single item, an unpicklable work item, or a pool
-  failure) the same worker function runs serially in-process, so the
-  outputs are the same bytes either way;
-* **bounded workers** — never more processes than items *or CPUs*.
-  A pool that cannot run two workers concurrently (one-CPU hosts,
-  effectively) is pure overhead, so such batches auto-serialize;
-  callers can probe this ahead of time via
-  :meth:`BatchExecutor.would_parallelize`.
-
-The worker count resolves, in order, from the explicit ``jobs``
-argument, the ``REPRO_JOBS`` environment variable, and finally ``1``
-(serial).  ``jobs <= 0`` means "one per CPU".
+Every rewrite runs in-process on one decode path; the only concurrency
+knob left is how many requests a long-lived process (the service
+daemon) serves at once.  That count resolves, in order, from the
+explicit ``jobs`` argument, the ``REPRO_JOBS`` environment variable,
+and finally ``1``.  ``jobs <= 0`` means "one per CPU".
 
 All of that resolution happens exactly once, when an
 :class:`ExecutorConfig` is constructed — a long-lived service resolves
@@ -30,21 +14,14 @@ its configuration at startup and every request reuses it, so changing
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Environment variable consulted when no explicit worker count is given.
 JOBS_ENV = "REPRO_JOBS"
 
 
-def resolve_jobs(jobs: int | None = None,
-                 environ: Mapping[str, str] | None = None) -> int:
+def resolve_jobs(jobs: int | None = None) -> int:
     """Resolve a worker count: argument > ``$REPRO_JOBS`` > 1 (serial).
 
     Non-positive values request one worker per CPU; unparsable
@@ -53,8 +30,7 @@ def resolve_jobs(jobs: int | None = None,
     building an :class:`ExecutorConfig`, never on a per-request path.
     """
     if jobs is None:
-        env = os.environ if environ is None else environ
-        raw = env.get(JOBS_ENV, "").strip()
+        raw = os.environ.get(JOBS_ENV, "").strip()
         if not raw:
             return 1
         try:
@@ -68,164 +44,21 @@ def resolve_jobs(jobs: int | None = None,
 
 @dataclass(frozen=True)
 class ExecutorConfig:
-    """Immutable executor configuration, resolved once at construction.
+    """Immutable worker-count configuration, resolved once.
 
     ``jobs`` is always a concrete positive worker count here — the
     ``$REPRO_JOBS`` / "0 = one per CPU" conveniences are applied by
-    :meth:`from_env` when the config is built, so an executor carried
-    by a long-lived service never consults the environment again.
+    :meth:`from_env` when the config is built, so a long-lived service
+    never consults the environment again.
     """
 
     jobs: int = 1
-    start_method: str | None = None
-    cpu_count: int = 0  # 0: resolved to os.cpu_count() in __post_init__
 
     def __post_init__(self) -> None:
-        if self.cpu_count <= 0:
-            object.__setattr__(self, "cpu_count", os.cpu_count() or 1)
         if self.jobs <= 0:
             object.__setattr__(self, "jobs", os.cpu_count() or 1)
 
     @classmethod
-    def from_env(
-        cls,
-        jobs: int | None = None,
-        start_method: str | None = None,
-        cpu_count: int | None = None,
-        environ: Mapping[str, str] | None = None,
-    ) -> "ExecutorConfig":
-        """Resolve configuration: arguments > ``$REPRO_JOBS`` > serial."""
-        return cls(
-            jobs=resolve_jobs(jobs, environ),
-            start_method=start_method,
-            cpu_count=cpu_count if cpu_count is not None else 0,
-        )
-
-
-def is_picklable(obj: object) -> bool:
-    """Whether *obj* survives a pickle round-trip to a worker process."""
-    try:
-        pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
-
-
-@dataclass
-class ExecutionReport:
-    """How the last :meth:`BatchExecutor.map` call actually ran."""
-
-    jobs: int
-    n_items: int
-    parallel: bool
-    fallback_reason: str | None = None
-
-
-class BatchExecutor:
-    """Deterministic fan-out of independent work items.
-
-    ``map(fn, items)`` behaves like ``[fn(x) for x in items]`` — same
-    results, same order — but runs up to ``jobs`` worker processes when
-    the work can be shipped to them.  ``fn`` must be a module-level
-    callable and every item picklable for the parallel path; anything
-    else degrades to the serial loop (recorded in :attr:`last`).
-    """
-
-    def __init__(self, jobs: "int | ExecutorConfig | None" = None,
-                 start_method: str | None = None,
-                 cpu_count: int | None = None) -> None:
-        if isinstance(jobs, ExecutorConfig):
-            config = jobs
-        else:
-            config = ExecutorConfig.from_env(jobs, start_method, cpu_count)
-        self.config = config
-        self.jobs = config.jobs
-        self.start_method = config.start_method
-        self.cpu_count = config.cpu_count
-        self.last: ExecutionReport | None = None
-
-    def effective_workers(self, n_items: int) -> int:
-        """Workers that would actually run concurrently for *n_items*.
-
-        Bounded by the requested ``jobs``, the host CPU count, and the
-        item count: a pool wider than any of those only adds fork and
-        pickle overhead without adding concurrency.
-        """
-        return max(0, min(self.jobs, self.cpu_count, n_items))
-
-    def would_parallelize(self, n_items: int) -> bool:
-        """Whether a batch of *n_items* would take the parallel path.
-
-        Callers with a cheaper serial strategy (e.g. ``rewrite_many``'s
-        shared single decode) should consult this *before* committing to
-        the parallel code path: when the pool cannot beat one process —
-        one CPU, one item, or ``jobs=1`` — fanning out loses twice, once
-        on fork/pickle overhead and once on the forfeited sharing."""
-        return self.effective_workers(n_items) > 1
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        work: Sequence[T] = list(items)
-        reason = self._serial_reason(fn, work)
-        if reason is None:
-            try:
-                results = self._map_pool(fn, work)
-            except Exception as exc:  # pool setup/transport failure
-                reason = f"pool failure: {exc!r}"
-            else:
-                self.last = ExecutionReport(
-                    jobs=self.jobs, n_items=len(work), parallel=True
-                )
-                return results
-        self.last = ExecutionReport(
-            jobs=self.jobs, n_items=len(work), parallel=False,
-            fallback_reason=reason,
-        )
-        return [fn(item) for item in work]
-
-    # -- internals -------------------------------------------------------
-
-    def _map_pool(self, fn: Callable[[T], R], work: Sequence[T]) -> list[R]:
-        ctx = multiprocessing.get_context(
-            self.start_method or default_start_method()
-        )
-        with ctx.Pool(self.effective_workers(len(work))) as pool:
-            # chunksize=1: work items are coarse (a whole rewrite), so
-            # dynamic scheduling beats amortized chunking.
-            return pool.map(fn, work, chunksize=1)
-
-    def _serial_reason(self, fn: Callable, work: Sequence) -> str | None:
-        """Why the batch must run serially, or None to go parallel."""
-        if self.jobs <= 1:
-            return "jobs=1"
-        if len(work) <= 1:
-            return "single work item"
-        if self.effective_workers(len(work)) <= 1:
-            return f"effective workers <= 1 (cpus={self.cpu_count})"
-        if not is_picklable(fn):
-            return "worker function not picklable"
-        for i, item in enumerate(work):
-            if not is_picklable(item):
-                return f"work item {i} not picklable"
-        return None
-
-
-def chunk_spans(total: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Split ``[0, total)`` into ``[lo, hi)`` spans of ``chunk_size`` bytes.
-
-    The last span absorbs the remainder (it may be shorter).  Used by
-    chunked intra-binary decode (:mod:`repro.x86.fastscan`) to carve a
-    large code region into independently scannable work items.
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return [
-        (lo, min(total, lo + chunk_size)) for lo in range(0, total, chunk_size)
-    ]
-
-
-def default_start_method() -> str:
-    """``fork`` where available (cheap, inherits the loaded package),
-    else ``spawn`` (which relies on ``PYTHONPATH`` carrying ``src``)."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return "fork"
-    return "spawn"
+    def from_env(cls, jobs: int | None = None) -> "ExecutorConfig":
+        """Resolve configuration: argument > ``$REPRO_JOBS`` > serial."""
+        return cls(jobs=resolve_jobs(jobs))

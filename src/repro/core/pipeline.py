@@ -326,11 +326,8 @@ class DecodePass(PipelinePass):
 
     name = "decode"
 
-    def __init__(self, frontend: str = "linear", jobs=None) -> None:
+    def __init__(self, frontend: str = "linear") -> None:
         self.frontend = frontend
-        # Optional BatchExecutor enabling chunked intra-binary decode for
-        # large code regions (see repro.x86.fastscan).
-        self.jobs = jobs
 
     def execute(self, ctx: RewriteContext) -> None:
         if ctx.instructions is not None:
@@ -346,7 +343,7 @@ class DecodePass(PipelinePass):
         if self.frontend == "symbols":
             ctx.instructions = disassemble_functions(ctx.elf)
         elif self.frontend == "linear":
-            stream = disassemble_text_stream(ctx.elf, executor=self.jobs)
+            stream = disassemble_text_stream(ctx.elf)
             ctx.instructions = (
                 stream if stream is not None else disassemble_text(ctx.elf)
             )
@@ -355,12 +352,8 @@ class DecodePass(PipelinePass):
         insns = ctx.instructions
         ctx.observer.count("decode.instructions", len(insns))
         total = getattr(insns, "total_bytes", None)
-        if total is not None:  # InstructionStream: counters without iteration
+        if total is not None:  # InstructionStream: bytes without iteration
             ctx.observer.count("decode.bytes", total)
-            ctx.observer.count("decode.chunks", insns.chunks)
-            ctx.observer.count(
-                "decode.reconcile_retries", insns.reconcile_retries
-            )
         else:
             ctx.observer.count("decode.bytes", sum(i.length for i in insns))
 

@@ -34,9 +34,8 @@ class AblationResult:
         return f"{self.label}: {self.value:.2f}{self.unit}"
 
 
-def coverage_without_t3(profile: BinaryProfile, app: str = "A1",
-                        *, jobs: int | None = None,
-                        cache=None) -> tuple[float, float]:
+def coverage_without_t3(profile: BinaryProfile,
+                        app: str = "A1") -> tuple[float, float]:
     """(Succ% with all tactics, Succ% with T3 disabled)."""
     binary = synthesize(SynthesisParams.from_profile(profile))
     matcher = "jumps" if app == "A1" else "heap-writes"
@@ -44,14 +43,13 @@ def coverage_without_t3(profile: BinaryProfile, app: str = "A1",
         binary.data,
         [RewriteOptions(mode="loader"),
          RewriteOptions(mode="loader", toggles=TacticToggles(t3=False))],
-        matcher=matcher, jobs=jobs, cache=cache,
+        matcher=matcher,
     )
     return full.stats.success_pct, no_t3.stats.success_pct
 
 
-def grouping_size_blowup(profile: BinaryProfile, app: str = "A1",
-                         *, jobs: int | None = None,
-                         cache=None) -> tuple[float, float]:
+def grouping_size_blowup(profile: BinaryProfile,
+                         app: str = "A1") -> tuple[float, float]:
     """(Size% with grouping, Size% with the naive 1:1 mapping)."""
     binary = synthesize(SynthesisParams.from_profile(profile))
     matcher = "jumps" if app == "A1" else "heap-writes"
@@ -59,7 +57,7 @@ def grouping_size_blowup(profile: BinaryProfile, app: str = "A1",
         binary.data,
         [RewriteOptions(mode="loader", grouping=True),
          RewriteOptions(mode="loader", grouping=False)],
-        matcher=matcher, jobs=jobs, cache=cache,
+        matcher=matcher,
     )
     return grouped.result.size_pct, naive.result.size_pct
 

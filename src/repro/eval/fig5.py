@@ -35,14 +35,8 @@ class Fig5Row:
     paper_empty_pct: float | None = None
 
 
-def run_one(profile: BinaryProfile, *, jobs: int | None = None,
-            cache=None) -> Fig5Row:
-    """Measure empty-vs-LowFat overhead for one profile's workload.
-
-    The LowFat configuration's instrumentation is a factory closure, so
-    ``jobs`` degrades to the serial path for it — ``cache`` still spares
-    the decode on warm runs.
-    """
+def run_one(profile: BinaryProfile) -> Fig5Row:
+    """Measure empty-vs-LowFat overhead for one profile's workload."""
     layout = LowFatLayout()
     allocator = LowFatAllocator(layout)
     buffer_ptr = allocator.malloc(BUFFER_SIZE)
@@ -66,7 +60,7 @@ def run_one(profile: BinaryProfile, *, jobs: int | None = None,
                        label="empty"),
          RewriteConfig(instrumentation=lowfat_factory, options=options,
                        label="lowfat")],
-        matcher="heap-writes", jobs=jobs, cache=cache,
+        matcher="heap-writes",
     )
 
     def cost(report) -> int:
@@ -84,10 +78,9 @@ def run_one(profile: BinaryProfile, *, jobs: int | None = None,
     )
 
 
-def run_fig5(profiles: list[BinaryProfile] | None = None, *,
-             jobs: int | None = None, cache=None) -> list[Fig5Row]:
+def run_fig5(profiles: list[BinaryProfile] | None = None) -> list[Fig5Row]:
     profiles = profiles if profiles is not None else SPEC_PROFILES
-    return [run_one(p, jobs=jobs, cache=cache) for p in profiles]
+    return [run_one(p) for p in profiles]
 
 
 def format_fig5(rows: list[Fig5Row]) -> str:

@@ -5,10 +5,9 @@ but the bench scripts answer only "did this PR regress one baseline".
 This module generalizes them into a declarative evaluation matrix in the
 spirit of "A Broad Comparative Evaluation of x86-64 Binary Rewriters"
 (PAPERS.md): every **cell** is one synthesis profile x one patch
-configuration x one rewriter-option combo (serial / parallel batch /
-artifact cache / ``--check``), run through the production
-:class:`~repro.frontend.engine.RewriteEngine` and
-:class:`~repro.core.parallel.BatchExecutor` paths, and measured along
+configuration x one rewriter-option combo (serial / artifact cache /
+``--check``), run through the production
+:class:`~repro.frontend.engine.RewriteEngine` path, and measured along
 the axes the comparative-evaluation literature cares about:
 
 * **patch success rate** (``succ_pct``) and **B0 fraction** (``b0_pct``);
@@ -37,7 +36,6 @@ from pathlib import Path
 
 from repro.core.cache import CacheConfig
 from repro.core.observe import Observer
-from repro.core.parallel import ExecutorConfig
 from repro.core.rewriter import RewriteOptions
 from repro.core.strategy import TacticToggles
 from repro.errors import PatchError
@@ -85,14 +83,12 @@ class PatchConfigSpec:
 class OptionCombo:
     """One point on the rewriter-option axis.
 
-    ``parallel`` fans the cell out as a 4-configuration batch through
-    :class:`BatchExecutor`; ``cache`` runs cold then warm through a
-    fresh :class:`~repro.core.cache.ArtifactStore`; ``check`` enables
-    the in-pipeline :class:`EquivalencePass` (``--check``).
+    ``cache`` runs cold then warm through a fresh
+    :class:`~repro.core.cache.ArtifactStore`; ``check`` enables the
+    in-pipeline :class:`EquivalencePass` (``--check``).
     """
 
     name: str
-    parallel: bool = False
     cache: bool = False
     check: bool = False
 
@@ -128,10 +124,8 @@ OPTION_COMBOS: dict[str, OptionCombo] = {
     combo.name: combo
     for combo in (
         OptionCombo("serial"),
-        OptionCombo("parallel", parallel=True),
         OptionCombo("cached", cache=True),
         OptionCombo("checked", check=True),
-        OptionCombo("parallel-cached", parallel=True, cache=True),
         OptionCombo("checked-cached", check=True, cache=True),
     )
 }
@@ -160,13 +154,11 @@ FULL_PATCH_CONFIGS: tuple[str, ...] = (
     "counter-jumps-slim",
 )
 
-PR_COMBOS: tuple[str, ...] = ("serial", "parallel", "cached", "checked")
+PR_COMBOS: tuple[str, ...] = ("serial", "cached", "checked")
 FULL_COMBOS: tuple[str, ...] = (
     "serial",
-    "parallel",
     "cached",
     "checked",
-    "parallel-cached",
     "checked-cached",
 )
 
@@ -323,14 +315,6 @@ def _profile_options(profile_name: str, options: RewriteOptions) -> RewriteOptio
     return options
 
 
-def _parallel_batch(options: RewriteOptions) -> list[RewriteOptions]:
-    """The 4-configuration fan-out used by ``parallel`` combos: the
-    cell's nominal options first (its metrics come from that report),
-    then three granularity variants to give the executor real work."""
-    variants = [g for g in (1, 2, 4, 8) if g != options.granularity]
-    return [options] + [replace(options, granularity=g) for g in variants[:3]]
-
-
 def _measure_oracle(cell: MatrixCell, metrics: dict) -> str:
     """Dynamic-overhead measurement: rewrite the small oracle draw under
     the cell's patch config and judge it with the differential oracle.
@@ -375,21 +359,17 @@ def _measure_oracle(cell: MatrixCell, metrics: dict) -> str:
 def _measure_workload(
     cell: MatrixCell,
     *,
-    jobs: int,
     max_sites: int,
     meta: dict | None = None,
 ) -> dict[str, float | int]:
     """One timed workload measurement for *cell* (see :func:`run_cell`).
 
     The workload rewrite always goes through the production
-    :class:`RewriteEngine`; ``parallel`` combos fan a 4-configuration
-    batch out through :func:`~repro.frontend.tool.rewrite_many` with a
-    :class:`BatchExecutor`, and ``cached`` combos run cold-then-warm
+    :class:`RewriteEngine`; ``cached`` combos run cold-then-warm
     through a throwaway :class:`~repro.core.cache.ArtifactStore`.
     Raises :class:`PatchError` when the rewrite itself fails.
     """
     from repro.frontend.engine import EngineConfig, RewriteEngine
-    from repro.frontend.tool import rewrite_many
 
     spec = cell.spec
     combo = cell.options
@@ -410,32 +390,16 @@ def _measure_workload(
 
     with tempfile.TemporaryDirectory(prefix="repro-matrix-") as tmp:
         cache_config = CacheConfig(root=Path(tmp)) if combo.cache else None
-        engine = RewriteEngine(
-            EngineConfig(cache=cache_config, executor=ExecutorConfig(jobs=jobs))
-        )
+        engine = RewriteEngine(EngineConfig(cache=cache_config))
         observer = Observer()
         t0 = time.perf_counter()
-        if combo.parallel:
-            reports = rewrite_many(
-                binary.data,
-                _parallel_batch(options),
-                matcher=spec.matcher,
-                instrumentation=spec.instrumentation,
-                observer=observer,
-                jobs=engine.config.executor,
-                cache=engine.store,
-            )
-            metrics["batch_configs"] = len(reports)
-            metrics["jobs"] = engine.config.executor.jobs
-            report = reports[0]
-        else:
-            report = engine.rewrite(
-                binary.data,
-                matcher=spec.matcher,
-                instrumentation=spec.instrumentation,
-                options=options,
-                observer=observer,
-            )
+        report = engine.rewrite(
+            binary.data,
+            matcher=spec.matcher,
+            instrumentation=spec.instrumentation,
+            options=options,
+            observer=observer,
+        )
         metrics["rewrite_s"] = time.perf_counter() - t0
 
         if combo.cache:
@@ -497,7 +461,6 @@ def _merge_best(best: dict, new: dict) -> dict:
 def run_cell(
     cell: MatrixCell,
     *,
-    jobs: int = 4,
     max_sites: int = MAX_WORKLOAD_SITES,
     oracle: bool = True,
     repeats: int = 3,
@@ -511,8 +474,7 @@ def run_cell(
     result = CellResult(cell=cell)
     try:
         for _ in range(max(1, repeats)):
-            measured = _measure_workload(cell, jobs=jobs, max_sites=max_sites,
-                                         meta=result.meta)
+            measured = _measure_workload(cell, max_sites=max_sites, meta=result.meta)
             result.metrics = _merge_best(result.metrics, measured)
     except PatchError as exc:
         result.verdict = "error"
@@ -547,7 +509,6 @@ def run_matrix(
     cells: list[MatrixCell],
     *,
     suite: str = "custom",
-    jobs: int = 4,
     max_sites: int = MAX_WORKLOAD_SITES,
     oracle: bool = True,
     repeats: int = 3,
@@ -561,8 +522,7 @@ def run_matrix(
     _warmup()
     results: dict[str, CellResult] = {}
     for index, cell in enumerate(cells):
-        result = run_cell(cell, jobs=jobs, max_sites=max_sites, oracle=oracle,
-                          repeats=repeats)
+        result = run_cell(cell, max_sites=max_sites, oracle=oracle, repeats=repeats)
         results[cell.cell_id] = result
         if progress is not None:
             progress(index, len(cells), result)

@@ -51,8 +51,6 @@ def run_sensitivity(
     weights: tuple[int, ...] = (0, 2, 5),
     *,
     loop_iters: int = 3,
-    jobs: int | None = None,
-    cache=None,
 ) -> SensitivityResult:
     overheads: dict[str, dict[int, float]] = {}
     for profile in profiles:
@@ -63,7 +61,7 @@ def run_sensitivity(
         orig = run_elf(binary.data)
         [report] = rewrite_many(binary.data,
                                 [RewriteOptions(mode="loader")],
-                                matcher="jumps", jobs=jobs, cache=cache)
+                                matcher="jumps")
         patched = run_elf(report.result.data)
         assert patched.observable == orig.observable
         overheads[profile.name] = {

@@ -61,15 +61,11 @@ def run_profile(
     toggles: TacticToggles | None = None,
     grouping: bool = True,
     granularity: int = 1,
-    jobs: int | None = None,
-    cache=None,
 ) -> list[Table1Row]:
     """Measure the Table 1 cells for *profile*, one row per application.
 
     The applications are batched through :func:`rewrite_many`, so the
     stand-in binary is synthesized and disassembled once per profile.
-    *jobs*/*cache* forward to the batch layer: worker processes per
-    (binary, app) pair and the on-disk decode/match artifact cache.
     """
     loop_iters = TIME_LOOP_ITERS if measure_time else 0
     binary = synthesize(
@@ -96,7 +92,7 @@ def run_profile(
         )
         for app in apps
     ]
-    reports = rewrite_many(binary.data, configs, jobs=jobs, cache=cache)
+    reports = rewrite_many(binary.data, configs)
 
     orig = run_elf(binary.data) if measure_time else None
     rows: list[Table1Row] = []
@@ -137,15 +133,12 @@ def run_row(
     toggles: TacticToggles | None = None,
     grouping: bool = True,
     granularity: int = 1,
-    jobs: int | None = None,
-    cache=None,
 ) -> Table1Row:
     """Measure one Table 1 cell pair for *profile*."""
     return run_profile(
         profile, (app,),
         measure_time=measure_time, toggles=toggles,
         grouping=grouping, granularity=granularity,
-        jobs=jobs, cache=cache,
     )[0]
 
 
@@ -154,8 +147,6 @@ def run_table(
     apps: tuple[str, ...] = ("A1", "A2"),
     *,
     time_for_categories: tuple[str, ...] = ("spec",),
-    jobs: int | None = None,
-    cache=None,
 ) -> list[Table1Row]:
     """Reproduce the full Table 1 (Time% measured for SPEC rows only,
     matching the paper)."""
@@ -166,7 +157,6 @@ def run_table(
             run_profile(
                 profile, apps,
                 measure_time=profile.category in time_for_categories,
-                jobs=jobs, cache=cache,
             )
         )
     return rows

@@ -89,16 +89,13 @@ class EngineConfig:
     ``cache=None`` disables the artifact store entirely;
     ``executor`` defaults to a fresh ``$REPRO_JOBS`` resolution *at
     config construction* — the only moment the environment is read.
-    The executor serves double duty: batches wide enough fan out one
-    process per configuration, and a single large binary fans its
-    *decode* out across the same workers (chunked linear sweep with
-    boundary reconciliation — see ``docs/PERF.md``).
+    Every rewrite runs in the calling thread; ``executor.jobs`` sizes
+    the service daemon's worker pool when its ``workers`` is unset.
     """
 
     frontend: str = "linear"
     cache: CacheConfig | None = None
     executor: ExecutorConfig = field(default_factory=ExecutorConfig.from_env)
-    cache_outputs: bool = False
 
 
 class RewriteEngine:
@@ -148,7 +145,5 @@ class RewriteEngine:
                            options=options)],
             frontend=frontend or self.config.frontend,
             observer=observer or Observer(),
-            jobs=self.config.executor,
             cache=self.store,
-            cache_outputs=self.config.cache_outputs,
         )[0]

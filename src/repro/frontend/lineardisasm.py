@@ -25,15 +25,13 @@ def disassemble_section(elf: ElfFile, name: str) -> list[Instruction]:
     return decode_buffer(data, address=sec.vaddr)
 
 
-def disassemble_text_stream(elf: ElfFile, *, executor=None):
+def disassemble_text_stream(elf: ElfFile):
     """Zero-copy stream variant of :func:`disassemble_text`.
 
     Decodes the code region into a lazy
     :class:`~repro.x86.fastscan.InstructionStream` over a read-only
     ``memoryview`` of the ELF image — no section-bytes copy, no eager
-    ``Instruction`` materialization.  *executor* (a
-    :class:`~repro.core.parallel.BatchExecutor`) enables chunked
-    parallel decode for large regions.
+    ``Instruction`` materialization.
 
     Returns ``None`` when the layout needs the legacy list path (a
     stripped binary with several executable segments — streams cover one
@@ -43,15 +41,13 @@ def disassemble_text_stream(elf: ElfFile, *, executor=None):
 
     sec = elf.section(".text")
     if sec is not None:
-        return decode_stream(
-            elf.section_view(".text"), sec.vaddr, executor=executor
-        )
+        return decode_stream(elf.section_view(".text"), sec.vaddr)
     segs = [seg for seg in elf.load_segments() if seg.executable]
     if len(segs) != 1:
         return None
     phdr = segs[0].phdr
     view = memoryview(elf.data)[phdr.offset : phdr.offset + phdr.filesz]
-    return decode_stream(view, phdr.vaddr, executor=executor)
+    return decode_stream(view, phdr.vaddr)
 
 
 def disassemble_text(elf: ElfFile) -> list[Instruction]:

@@ -8,17 +8,11 @@ once and caching matcher results — the eval/ablation drivers are thin
 loops over it.  Both surface per-pass wall-time and counters through the
 shared :class:`~repro.core.observe.Observer`.
 
-Two optional accelerators thread through every entry point:
-
-* ``jobs`` — a :class:`~repro.core.parallel.BatchExecutor` shards a
-  batch across worker processes, one (binary, config) pair per task,
-  with deterministic ordering and a serial fallback that produces the
-  same bytes;
-* ``cache`` — an :class:`~repro.core.cache.ArtifactStore` persists
-  decoded instruction streams and matcher results (optionally whole
-  rewrite results) on disk, so warm runs skip ``DecodePass`` and
-  ``MatchPass`` entirely — checkable via ``pass.decode.runs == 0`` and
-  the ``cache.*`` counters.
+Every rewrite runs in-process.  An optional ``cache`` (an
+:class:`~repro.core.cache.ArtifactStore`) persists decoded instruction
+streams and matcher results on disk, so warm runs skip ``DecodePass``
+and ``MatchPass`` entirely — checkable via ``pass.decode.runs == 0``
+and the ``cache.*`` counters.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from repro.analysis.lint import LintError
 from repro.core.cache import ArtifactStore
 from repro.core.grouping import DEFAULT_MAX_MAP_COUNT
 from repro.core.observe import Observer, derive_throughput, stderr_trace_hook
-from repro.core.parallel import BatchExecutor, ExecutorConfig, is_picklable
 from repro.core.pipeline import DecodePass, MatchPass, RewriteContext
 from repro.core.rewriter import RewriteOptions, RewriteResult, Rewriter
 from repro.core.strategy import PatchRequest, TacticToggles
@@ -140,7 +133,6 @@ def prepare_binary(
     frontend: str = "linear",
     observer: Observer | None = None,
     cache: ArtifactStore | None = None,
-    jobs: BatchExecutor | None = None,
 ) -> RewriteContext:
     """Parse and disassemble *data* once, into a reusable context.
 
@@ -152,10 +144,6 @@ def prepare_binary(
     With a *cache*, the decoded instruction stream is looked up by
     content hash first; on a hit ``DecodePass`` never runs (its ``runs``
     counter stays 0) and ``cache.decode.hits`` is counted instead.
-
-    *jobs* (a :class:`~repro.core.parallel.BatchExecutor`) enables
-    chunked intra-binary parallel decode for large code regions; the
-    resulting stream is byte-identical to the serial sweep.
     """
     observer = observer or Observer()
     ctx = RewriteContext(
@@ -173,124 +161,10 @@ def prepare_binary(
             observer.count("decode.instructions", len(cached))
             return ctx
         observer.count("cache.decode.misses")
-    DecodePass(frontend, jobs=jobs).run(ctx)
+    DecodePass(frontend).run(ctx)
     if cache is not None:
         cache.put("decode", key, ctx.instructions)
     return ctx
-
-
-# -- parallel worker (must be module-level: it crosses a process fork) ----
-
-
-@dataclass
-class _ConfigTask:
-    """One (binary, config) unit shipped to a worker process."""
-
-    data: bytes
-    config: RewriteConfig
-    matcher: Matcher | str
-    instrumentation: Instrumentation | str | None
-    frontend: str
-    cache_root: str | None
-    cache_max_bytes: int
-    cache_outputs: bool
-
-
-def _run_config_task(task: _ConfigTask):
-    """Worker body: a single-configuration serial rewrite, returning the
-    report plus the worker observer's accumulations and cache traffic."""
-    cache = (ArtifactStore(task.cache_root, max_bytes=task.cache_max_bytes)
-             if task.cache_root is not None else None)
-    observer = Observer()
-    [report] = _rewrite_serial(
-        task.data, [task.config],
-        matcher=task.matcher, instrumentation=task.instrumentation,
-        frontend=task.frontend, observer=observer, cache=cache,
-        cache_outputs=task.cache_outputs,
-    )
-    cache_stats = cache.stats.as_dict() if cache is not None else {}
-    return report, observer.timings, observer.counters, cache_stats
-
-
-def _rewrite_serial(
-    source: bytes | RewriteContext,
-    configs: list[RewriteConfig],
-    *,
-    matcher: Matcher | str,
-    instrumentation: Instrumentation | str | None,
-    frontend: str,
-    observer: Observer | None,
-    cache: ArtifactStore | None,
-    cache_outputs: bool,
-    jobs: BatchExecutor | None = None,
-) -> list[InstrumentReport]:
-    """The in-process batch loop: one decode, cached matches, and a
-    fresh planner/emitter (hence a fresh allocator) per configuration."""
-    shared_observer = (source.observer if isinstance(source, RewriteContext)
-                       else observer or Observer())
-    # Snapshot *before* decoding: the first configuration's per-run
-    # counters carry the decode/match work its batch actually triggered.
-    run_snapshot = shared_observer.snapshot()
-    if isinstance(source, RewriteContext):
-        base = source
-    else:
-        base = prepare_binary(data=source, frontend=frontend,
-                              observer=shared_observer, cache=cache,
-                              jobs=jobs)
-    decode_key = (cache.decode_key(base.elf.data, frontend)
-                  if cache is not None else None)
-    elf_meta = {
-        "elf_type": base.elf.elf_type,
-        "cet": base.elf.is_cet_enabled(),
-        "cet_note": base.elf.has_ibt_note,
-    }
-
-    site_cache: dict[object, list] = {}
-    reports: list[InstrumentReport] = []
-    for n, cfg in enumerate(configs):
-        if n > 0:
-            # Per-run counter scope: each configuration's report carries
-            # only its own pass work, not the batch's running total.
-            run_snapshot = shared_observer.snapshot()
-        spec = cfg.matcher if cfg.matcher is not None else matcher
-        sites = _match_sites(base, spec, site_cache, cache, decode_key)
-
-        body_spec = (cfg.instrumentation if cfg.instrumentation is not None
-                     else instrumentation)
-        options = cfg.options or RewriteOptions()
-        output_key = None
-        if (cache is not None and cache_outputs and isinstance(spec, str)
-                and body_spec in (None, "empty")):
-            output_key = cache.output_key(decode_key, spec, options, "empty")
-            hit = cache.get("output", output_key)
-            if (isinstance(hit, tuple) and len(hit) == 2
-                    and isinstance(hit[0], RewriteResult)):
-                result, n_sites = hit
-                shared_observer.count("cache.output.hits")
-                result.timings, result.counters = (
-                    shared_observer.since(run_snapshot))
-                reports.append(InstrumentReport(
-                    result=result, n_sites=n_sites, label=cfg.label,
-                    **elf_meta))
-                continue
-            shared_observer.count("cache.output.misses")
-
-        rewriter = Rewriter(base.elf, base.instructions, options,
-                            observer=shared_observer)
-        body, counter_vaddr = _resolve_instrumentation(rewriter, body_spec)
-        requests = [PatchRequest(insn=i, instrumentation=body)
-                    for i in sites]
-        result = rewriter.rewrite(requests)
-        result.timings, result.counters = (
-            shared_observer.since(run_snapshot))
-        if output_key is not None:
-            cache.put("output", output_key, (result, len(sites)))
-        reports.append(InstrumentReport(
-            result=result, n_sites=len(sites),
-            counter_vaddr=counter_vaddr, label=cfg.label,
-            **elf_meta,
-        ))
-    return reports
 
 
 def _match_sites(
@@ -346,9 +220,7 @@ def rewrite_many(
     instrumentation: Instrumentation | str | None = None,
     frontend: str = "linear",
     observer: Observer | None = None,
-    jobs: int | ExecutorConfig | BatchExecutor | None = None,
     cache: ArtifactStore | None = None,
-    cache_outputs: bool = False,
 ) -> list[InstrumentReport]:
     """Rewrite one binary under many configurations, sharing the decode.
 
@@ -358,89 +230,58 @@ def rewrite_many(
     :class:`RewriteConfig` (or bare :class:`RewriteOptions`, inheriting
     the call-level *matcher*/*instrumentation* defaults).
 
-    Serially, the instruction stream is decoded exactly once and matcher
-    results are memoized per matcher (checkable via the shared
-    observer's ``pass.decode.runs`` / ``pass.match.runs`` counters).
-    With ``jobs > 1`` (or ``$REPRO_JOBS``), picklable configurations fan
-    out one (binary, config) task per worker process; outputs and stats
-    are byte-identical to the serial path, results come back in config
-    order, and worker observers are merged into the shared one.  An
-    unpicklable matcher/instrumentation quietly degrades to serial, as
-    does any batch whose effective concurrency is 1 (e.g. a one-CPU
-    host, where forking workers would only forfeit the shared decode).
+    The instruction stream is decoded exactly once and matcher results
+    are memoized per matcher (checkable via the shared observer's
+    ``pass.decode.runs`` / ``pass.match.runs`` counters); every
+    configuration gets a fresh planner and emitter, hence a fresh
+    allocator.
     """
     norm = [cfg if isinstance(cfg, RewriteConfig) else RewriteConfig(options=cfg)
             for cfg in configs]
-    # *jobs* may be a pre-built executor (or a frozen ExecutorConfig):
-    # long-lived callers resolve $REPRO_JOBS once at startup and reuse
-    # the result for every request instead of re-reading it here.
-    executor = jobs if isinstance(jobs, BatchExecutor) else BatchExecutor(jobs)
-    # would_parallelize folds in the CPU count: on a one-CPU host the
-    # pool cannot beat the serial path (which shares a single decode),
-    # so the batch never pays the fork/pickle overhead.
-    if (executor.would_parallelize(len(norm))
-            and isinstance(source, (bytes, bytearray))):
-        reports = _rewrite_parallel(
-            executor, bytes(source), norm,
-            matcher=matcher, instrumentation=instrumentation,
-            frontend=frontend, observer=observer, cache=cache,
-            cache_outputs=cache_outputs,
-        )
-        if reports is not None:
-            return reports
-    return _rewrite_serial(
-        source, norm,
-        matcher=matcher, instrumentation=instrumentation,
-        frontend=frontend, observer=observer, cache=cache,
-        cache_outputs=cache_outputs,
-        # The serial batch path reuses the executor *inside* the decode:
-        # a batch too small to fan out may still carry a binary large
-        # enough for chunked intra-binary decode.
-        jobs=executor,
-    )
+    shared_observer = (source.observer if isinstance(source, RewriteContext)
+                       else observer or Observer())
+    # Snapshot *before* decoding: the first configuration's per-run
+    # counters carry the decode/match work its batch actually triggered.
+    run_snapshot = shared_observer.snapshot()
+    if isinstance(source, RewriteContext):
+        base = source
+    else:
+        base = prepare_binary(data=source, frontend=frontend,
+                              observer=shared_observer, cache=cache)
+    decode_key = (cache.decode_key(base.elf.data, frontend)
+                  if cache is not None else None)
+    elf_meta = {
+        "elf_type": base.elf.elf_type,
+        "cet": base.elf.is_cet_enabled(),
+        "cet_note": base.elf.has_ibt_note,
+    }
 
-
-def _rewrite_parallel(
-    executor: BatchExecutor,
-    data: bytes,
-    configs: list[RewriteConfig],
-    *,
-    matcher: Matcher | str,
-    instrumentation: Instrumentation | str | None,
-    frontend: str,
-    observer: Observer | None,
-    cache: ArtifactStore | None,
-    cache_outputs: bool,
-) -> list[InstrumentReport] | None:
-    """Fan the batch out across worker processes, or return None when a
-    task cannot be shipped (the caller then takes the serial path, which
-    shares one in-process decode instead)."""
-    tasks = [
-        _ConfigTask(
-            data=data, config=cfg,
-            matcher=matcher, instrumentation=instrumentation,
-            frontend=frontend,
-            cache_root=str(cache.root) if cache is not None else None,
-            cache_max_bytes=cache.max_bytes if cache is not None else 0,
-            cache_outputs=cache_outputs,
-        )
-        for cfg in configs
-    ]
-    if not all(is_picklable(task) for task in tasks):
-        return None
-    outcomes = executor.map(_run_config_task, tasks)
-
-    shared = observer or Observer()
-    shared.count("parallel.tasks", len(tasks))
-    shared.set_counter("parallel.jobs", executor.jobs)
+    site_cache: dict[object, list] = {}
     reports: list[InstrumentReport] = []
-    for report, timings, counters, cache_stats in outcomes:
-        shared.merge(timings, counters)
-        if cache is not None:
-            for name, value in cache_stats.items():
-                setattr(cache.stats, name,
-                        getattr(cache.stats, name) + value)
-        reports.append(report)
+    for n, cfg in enumerate(norm):
+        if n > 0:
+            # Per-run counter scope: each configuration's report carries
+            # only its own pass work, not the batch's running total.
+            run_snapshot = shared_observer.snapshot()
+        spec = cfg.matcher if cfg.matcher is not None else matcher
+        sites = _match_sites(base, spec, site_cache, cache, decode_key)
+
+        body_spec = (cfg.instrumentation if cfg.instrumentation is not None
+                     else instrumentation)
+        rewriter = Rewriter(base.elf, base.instructions,
+                            cfg.options or RewriteOptions(),
+                            observer=shared_observer)
+        body, counter_vaddr = _resolve_instrumentation(rewriter, body_spec)
+        requests = [PatchRequest(insn=i, instrumentation=body)
+                    for i in sites]
+        result = rewriter.rewrite(requests)
+        result.timings, result.counters = (
+            shared_observer.since(run_snapshot))
+        reports.append(InstrumentReport(
+            result=result, n_sites=len(sites),
+            counter_vaddr=counter_vaddr, label=cfg.label,
+            **elf_meta,
+        ))
     return reports
 
 
@@ -590,11 +431,6 @@ def main(argv: list[str] | None = None) -> int:
         "0 skips the campaign and only checks this rewrite)",
     )
     parser.add_argument(
-        "--jobs", "-j", type=int, default=None, metavar="N",
-        help="worker processes for batch rewrites (default: $REPRO_JOBS "
-        "or serial; 0 = one per CPU)",
-    )
-    parser.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
         help="persist/reuse decoded instruction streams and matcher "
         "results under the on-disk artifact cache (--no-cache disables)",
@@ -707,8 +543,7 @@ def main(argv: list[str] | None = None) -> int:
             data,
             [RewriteConfig(matcher=matcher, instrumentation=instrumentation,
                            options=options)],
-            frontend=args.frontend, observer=observer,
-            jobs=args.jobs, cache=cache,
+            frontend=args.frontend, observer=observer, cache=cache,
         )[0]
 
     try:

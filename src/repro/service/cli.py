@@ -2,8 +2,9 @@
 
 ``repro serve`` runs the rewrite daemon: every flag maps onto one
 :class:`~repro.service.config.ServiceConfig` field; environment
-defaults (``REPRO_SERVICE_*``, ``$REPRO_JOBS``, ``$REPRO_CACHE_DIR``)
-are resolved here, exactly once, before the event loop starts.  See
+defaults (``REPRO_SERVICE_*``, ``$REPRO_CACHE_DIR``) are resolved
+here, exactly once, before the event loop starts; an unset worker
+count falls back to the engine's ``$REPRO_JOBS`` resolution.  See
 ``docs/SERVICE.md`` and ``docs/CLI.md``.
 
 ``repro matrix`` runs the cross-configuration evaluation matrix
@@ -25,7 +26,6 @@ import json
 import pathlib
 
 from repro.core.cache import CacheConfig
-from repro.core.parallel import ExecutorConfig
 from repro.service.config import ServiceConfig
 
 
@@ -118,10 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "benchmarks/BENCH_matrix.json; implies a trend comparison)",
     )
     matrix.add_argument(
-        "--jobs", type=int, default=4, metavar="N",
-        help="worker count for parallel-combo cells (default 4)",
-    )
-    matrix.add_argument(
         "--no-oracle", action="store_true",
         help="skip the VM overhead oracle (drops vm_overhead_ratio)",
     )
@@ -188,10 +184,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
     overrides["frontend"] = args.frontend
     overrides["cache"] = (CacheConfig.from_env(args.cache_dir)
                           if args.cache else None)
-    if args.workers is not None and args.workers > 0:
-        # An explicit worker count also sizes the executor config, so
-        # batch fan-out inside a request agrees with the pool.
-        overrides["executor"] = ExecutorConfig.from_env(args.workers)
     return ServiceConfig.from_env(**overrides)
 
 
@@ -208,8 +200,8 @@ def run_matrix_command(args: argparse.Namespace) -> int:
         mark = "ok" if result.ok else f"FAIL ({result.verdict})"
         print(f"  [{index + 1:3}/{total}] {result.cell.cell_id:<40} {mark}")
 
-    payload = run_matrix(cells, suite=suite, jobs=args.jobs,
-                         oracle=not args.no_oracle, progress=progress)
+    payload = run_matrix(cells, suite=suite, oracle=not args.no_oracle,
+                         progress=progress)
     if args.json:
         path = pathlib.Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)

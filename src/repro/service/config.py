@@ -11,11 +11,10 @@ afterwards.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.cache import CacheConfig
-from repro.core.parallel import ExecutorConfig
 
 #: Environment overrides, consulted once by :meth:`ServiceConfig.from_env`.
 SOCKET_ENV = "REPRO_SERVICE_SOCKET"
@@ -62,8 +61,8 @@ class ServiceConfig:
     socket_path: str | None = None
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
-    #: Concurrent rewrite workers.  ``0`` means "use the executor
-    #: config's worker count" (i.e. ``$REPRO_JOBS`` resolved at startup).
+    #: Concurrent rewrite workers.  ``0`` means "use the engine's
+    #: ``executor.jobs``" (i.e. ``$REPRO_JOBS`` resolved at startup).
     workers: int = 0
     #: Bounded request queue; a full queue answers 429 + Retry-After.
     queue_depth: int = DEFAULT_QUEUE_DEPTH
@@ -74,15 +73,9 @@ class ServiceConfig:
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     frontend: str = "linear"
     cache: CacheConfig | None = None
-    cache_outputs: bool = False
-    executor: ExecutorConfig = field(default_factory=ExecutorConfig.from_env)
     #: Test-only artificial per-request delay (seconds); see
     #: :data:`TEST_DELAY_MS_ENV`.
     test_delay_s: float = 0.0
-
-    @property
-    def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else max(1, self.executor.jobs)
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str] | None = None,
@@ -104,7 +97,6 @@ class ServiceConfig:
                                 DEFAULT_MAX_BODY_BYTES // (1024 * 1024))
             * 1024 * 1024,
             test_delay_s=_get(env, TEST_DELAY_MS_ENV, float, 0.0) / 1e3,
-            executor=ExecutorConfig.from_env(environ=env),
         )
         resolved.update(overrides)
         return cls(**resolved)

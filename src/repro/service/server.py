@@ -88,9 +88,11 @@ class RewriteService:
         self.engine = engine or RewriteEngine(EngineConfig(
             frontend=self.config.frontend,
             cache=self.config.cache,
-            executor=self.config.executor,
-            cache_outputs=self.config.cache_outputs,
         ))
+        #: The configured worker count, else the engine's
+        #: ``executor.jobs`` (``$REPRO_JOBS`` resolved at startup).
+        self.pool_size = (self.config.workers if self.config.workers > 0
+                          else max(1, self.engine.config.executor.jobs))
         self.metrics = ServiceMetrics()
         self.address: str | tuple[str, int] | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -129,7 +131,7 @@ class RewriteService:
         self._queue = asyncio.Queue(maxsize=cfg.queue_depth)
         self._stop = asyncio.Event()
         self._pool = ThreadPoolExecutor(
-            max_workers=cfg.effective_workers,
+            max_workers=self.pool_size,
             thread_name_prefix="rewrite-worker",
         )
         try:
@@ -149,10 +151,10 @@ class RewriteService:
             self.address = (sockname[0], sockname[1])
         self._workers = [
             self._loop.create_task(self._worker())
-            for _ in range(cfg.effective_workers)
+            for _ in range(self.pool_size)
         ]
         self._log(f"listening on {self.address} "
-                  f"(workers={cfg.effective_workers}, "
+                  f"(workers={self.pool_size}, "
                   f"queue={cfg.queue_depth})")
         self.ready.set()
 
@@ -365,7 +367,7 @@ class RewriteService:
             "status": "draining" if self._draining else "ok",
             "queued": self._queue.qsize() if self._queue else 0,
             "inflight": self._inflight,
-            "workers": self.config.effective_workers,
+            "workers": self.pool_size,
             "queue_depth": self.config.queue_depth,
         }
 
@@ -375,7 +377,7 @@ class RewriteService:
             "service": self.metrics.snapshot(
                 queued=self._queue.qsize() if self._queue else 0,
                 inflight=self._inflight,
-                workers=self.config.effective_workers,
+                workers=self.pool_size,
                 queue_depth=self.config.queue_depth,
             ),
             "cache": store.stats.as_dict() if store is not None else None,

@@ -1,9 +1,9 @@
-"""Vectorized linear-sweep decode: dense tables, zero-copy streams, chunking.
+"""Vectorized linear-sweep decode: dense tables and zero-copy streams.
 
 The scalar :func:`repro.x86.decoder.decode` fast path costs ~400 ns per
 instruction in attribute and tuple traffic alone — fine for one binary,
 hopeless for the browser-scale (50–100 MB) text sections E9Patch brags
-about.  This module rebuilds bulk decoding around three observations:
+about.  This module rebuilds bulk decoding around two observations:
 
 1. **Instruction length is a pure, local function of the bytes.**  For
    every offset ``i`` the total length ``L[i]`` (and a small set of
@@ -18,12 +18,6 @@ about.  This module rebuilds bulk decoding around three observations:
    (``n16 = next^16``); a Python loop then touches only every 16th
    instruction (the *anchors*) and the intervening 15 starts are filled
    by vectorized gathers.  Work is windowed (2 MB).
-
-3. **Linear sweep self-synchronizes.**  Chunks decoded independently
-   from conservative boundaries converge to the true stream after a few
-   instructions, so large buffers can be scanned by
-   :class:`~repro.core.parallel.BatchExecutor` workers and spliced back
-   with a boundary-reconciliation pass (see :func:`_decode_chunked`).
 
 The result is an :class:`InstructionStream`: a lazy, zero-copy sequence
 of instruction *positions* that materializes real
@@ -90,8 +84,6 @@ _LOOKAHEAD = MAX_INSN_LEN - 1
 
 _WINDOW = 1 << 21  # scan window: big enough to amortize, small enough to cache
 _MIN_VECTOR = 4096  # below this the numpy fixed costs beat the scalar loop
-_CHUNK_THRESHOLD = 8 << 20  # don't fan out buffers smaller than this
-_MIN_CHUNK = 1 << 20  # never ship chunks smaller than this to a worker
 
 
 # ---------------------------------------------------------------------------
@@ -334,35 +326,33 @@ def _scan(buf, key=None):
 # ---------------------------------------------------------------------------
 
 
-def _vector_walk(buf, stop: int, entry: int):
-    """Walk the instruction chain of ``buf[:stop]`` starting at *entry*.
+def _vector_walk(buf):
+    """Walk the instruction chain of *buf* from offset 0.
 
-    *buf* may extend past *stop* (chunk overhang); those bytes feed the
-    scan's lookahead only.  Returns ``(starts, mbits, exit)``: int32
-    start offsets in ``[entry, stop)``, their uint8 SB_* bits, and the
-    first chain offset ``>= stop``.
+    Returns ``(starts, mbits)``: the int32 start offsets and their uint8
+    SB_* bits.
     """
-    nbuf = len(buf)
+    n = len(buf)
     mv = memoryview(buf)
     # The step function and its powers live in two intp buffers allocated
     # once per walk (the first doubles as the scan's key buffer): numpy
     # casts any other index dtype to intp on every gather.  Past the
     # window end the step is the identity, so composed pointers stall at
     # the window exit.
-    size = min(stop, _WINDOW) + MAX_INSN_LEN + 1
+    size = min(n, _WINDOW) + MAX_INSN_LEN + 1
     ident = _np.arange(size, dtype=_np.intp)
     pa, pb = _np.empty(size, _np.intp), _np.empty(size, _np.intp)
     parts_s = []
     parts_m = []
-    pos = entry
+    pos = 0
     lo = 0
-    while lo < stop:
-        hi = min(stop, lo + _WINDOW)
+    while lo < n:
+        hi = min(n, lo + _WINDOW)
         if pos >= hi:  # an instruction straddles this whole window
             lo = hi
             continue
         wn = hi - lo
-        E = _scan(mv[lo : min(nbuf, hi + _LOOKAHEAD)], pa)[:wn]
+        E = _scan(mv[lo : min(n, hi + _LOOKAHEAD)], pa)[:wn]
         step = E & _LEN
         _np.maximum(step, 1, out=step)
         m = wn + MAX_INSN_LEN
@@ -394,149 +384,8 @@ def _vector_walk(buf, stop: int, entry: int):
         pos = lo + last + int(step[last])
         lo = hi
     if parts_s:
-        return _np.concatenate(parts_s), _np.concatenate(parts_m), pos
-    return _np.empty(0, _np.int32), _np.empty(0, _np.uint8), pos
-
-
-def _scalar_bits(buf, off: int):
-    """``(step, mbits)`` at *off*, exactly as the vectorized sweep sees it.
-
-    Used by seam reconciliation so a spliced stream is bit-identical to
-    the serial one: the scan of a 15-byte slice computes this position
-    from the same bytes as the window scan.
-    """
-    e = int(_scan(memoryview(buf)[off : off + MAX_INSN_LEN])[0])
-    return max(e & _LEN, 1), e >> _SB & 15
-
-
-# ---------------------------------------------------------------------------
-# Chunked parallel decode with boundary reconciliation.
-# ---------------------------------------------------------------------------
-
-#: ``endbr64`` — the IBT landing pad CET compilers plant at every
-#: indirectly-reachable function entry.  (Defined locally: repro.x86 is
-#: a leaf package and must not import repro.elf.)
-_ENDBR64 = b"\xf3\x0f\x1e\xfa"
-
-#: How far past a chunk boundary to look for an ``endbr64`` anchor.
-_ENDBR_SNAP_WINDOW = 4096
-
-
-def _snap_spans_to_endbr(mv, spans):
-    """Snap interior chunk boundaries forward to the next ``endbr64``.
-
-    CET binaries plant ``endbr64`` (f3 0f 1e fa) at function entries, so
-    the pattern almost always sits on a true instruction start.  A chunk
-    whose base is such an anchor agrees with the carried chain
-    immediately and its seam reconciles in zero scalar steps.  This is
-    placement only — reconciliation still verifies every seam against
-    the true chain, so an anchor that is really immediate data costs a
-    few ``reconcile_retries`` but never correctness.
-
-    Returns ``(spans, snapped)`` where *snapped* counts moved
-    boundaries.
-    """
-    if len(spans) <= 1:
-        return spans, 0
-    bounds = [b for b, _ in spans] + [spans[-1][1]]
-    snapped = 0
-    for i in range(1, len(bounds) - 1):
-        b = bounds[i]
-        limit = min(bounds[i + 1], b + _ENDBR_SNAP_WINDOW)
-        hit = bytes(mv[b:limit]).find(_ENDBR64)
-        if hit > 0 and bounds[i - 1] < b + hit < bounds[i + 1]:
-            bounds[i] = b + hit
-            snapped += 1
-    return list(zip(bounds[:-1], bounds[1:])), snapped
-
-
-def _scan_chunk(payload):
-    """Worker: scan one chunk (core + overhang bytes) from its base."""
-    blob, core = payload
-    starts, mbits, exit_off = _vector_walk(blob, core, 0)
-    return starts.tobytes(), mbits.tobytes(), exit_off
-
-
-def _decode_chunked(buf, address: int, executor, chunk_size: int):
-    """Decode *buf* as parallel chunks, splicing at reconciled seams.
-
-    Each chunk is scanned from its base — a conservative candidate
-    boundary, not necessarily a true instruction start.  Reconciliation
-    walks the true chain (carried from chunk to chunk) forward with
-    scalar steps until it lands on a start the worker also produced;
-    from that point on the streams are provably identical, because the
-    length at an offset is a pure function of ``(buf, offset)``.  The
-    scalar steps are counted as ``reconcile_retries``.
-    """
-    from repro.core.parallel import chunk_spans
-
-    n = len(buf)
-    mv = memoryview(buf)
-    spans, snapped = _snap_spans_to_endbr(mv, chunk_spans(n, chunk_size))
-    payloads = [
-        (bytes(mv[base : min(n, hi + MAX_INSN_LEN - 1)]), hi - base)
-        for base, hi in spans
-    ]
-    if executor is not None:
-        results = executor.map(_scan_chunk, payloads)
-    else:
-        results = [_scan_chunk(p) for p in payloads]
-
-    parts_s = []
-    parts_m = []
-    pend_s: list[int] = []
-    pend_m: list[int] = []
-
-    def flush():
-        if pend_s:
-            parts_s.append(_np.array(pend_s, _np.int32))
-            parts_m.append(_np.array(pend_m, _np.uint8))
-            pend_s.clear()
-            pend_m.clear()
-
-    retries = 0
-    cursor = 0
-    for (base, hi), (sblob, mblob, exit_rel) in zip(spans, results):
-        if cursor >= hi:  # true chain already carried past this chunk
-            continue
-        s = _np.frombuffer(sblob, _np.int32)
-        m = _np.frombuffer(mblob, _np.uint8)
-        core = hi - base
-        rel = cursor - base
-        synced = -1
-        while rel < core:
-            k = int(_np.searchsorted(s, rel))
-            if k < len(s) and int(s[k]) == rel:
-                synced = k
-                break
-            step, bits = _scalar_bits(buf, cursor)
-            pend_s.append(cursor)
-            pend_m.append(bits)
-            retries += 1
-            cursor += step
-            rel = cursor - base
-        if synced < 0:
-            continue
-        flush()
-        parts_s.append(s[synced:] + base)
-        parts_m.append(m[synced:])
-        cursor = base + exit_rel
-    flush()
-    if parts_s:
-        starts = _np.concatenate(parts_s)
-        mbits = _np.concatenate(parts_m)
-    else:
-        starts = _np.empty(0, _np.int32)
-        mbits = _np.empty(0, _np.uint8)
-    return InstructionStream(
-        buf,
-        address,
-        starts,
-        mbits,
-        chunks=len(spans),
-        reconcile_retries=retries,
-        endbr_snaps=snapped,
-    )
+        return _np.concatenate(parts_s), _np.concatenate(parts_m)
+    return _np.empty(0, _np.int32), _np.empty(0, _np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -572,36 +421,14 @@ class InstructionStream(Sequence):
     bytes — the stream only precomputes *where* instructions start.
     """
 
-    __slots__ = (
-        "_buf",
-        "address",
-        "_starts",
-        "_mbits",
-        "_cache",
-        "chunks",
-        "reconcile_retries",
-        "endbr_snaps",
-    )
+    __slots__ = ("_buf", "address", "_starts", "_mbits", "_cache")
 
-    def __init__(
-        self,
-        buf,
-        address: int,
-        starts,
-        mbits,
-        *,
-        chunks: int = 1,
-        reconcile_retries: int = 0,
-        endbr_snaps: int = 0,
-    ) -> None:
+    def __init__(self, buf, address: int, starts, mbits) -> None:
         self._buf = buf
         self.address = address
         self._starts = starts
         self._mbits = mbits
         self._cache: dict[int, Instruction] = {}
-        self.chunks = chunks
-        self.reconcile_retries = reconcile_retries
-        self.endbr_snaps = endbr_snaps
 
     # -- sizing ----------------------------------------------------------
 
@@ -616,7 +443,7 @@ class InstructionStream(Sequence):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<InstructionStream {len(self)} insns / {self.total_bytes} B "
-            f"@ {self.address:#x} chunks={self.chunks}>"
+            f"@ {self.address:#x}>"
         )
 
     # -- element access --------------------------------------------------
@@ -710,7 +537,7 @@ class InstructionStream(Sequence):
             out.append(k)
         return out
 
-    # -- pickling (artifact cache, worker transport) ---------------------
+    # -- pickling (artifact store) ---------------------------------------
 
     def __reduce__(self):
         if HAVE_NUMPY and isinstance(self._starts, _np.ndarray):
@@ -719,21 +546,10 @@ class InstructionStream(Sequence):
         else:
             sblob = self._starts.tobytes()
             mblob = bytes(self._mbits)
-        return (
-            _rebuild_stream,
-            (
-                bytes(self._buf),
-                self.address,
-                sblob,
-                mblob,
-                self.chunks,
-                self.reconcile_retries,
-                self.endbr_snaps,
-            ),
-        )
+        return (_rebuild_stream, (bytes(self._buf), self.address, sblob, mblob))
 
 
-def _rebuild_stream(buf, address, sblob, mblob, chunks, retries, snaps=0):
+def _rebuild_stream(buf, address, sblob, mblob):
     """Unpickle an :class:`InstructionStream` (NumPy optional)."""
     if HAVE_NUMPY:
         starts = _np.frombuffer(sblob, _np.int32)
@@ -742,10 +558,7 @@ def _rebuild_stream(buf, address, sblob, mblob, chunks, retries, snaps=0):
         starts = array("i")
         starts.frombytes(sblob)
         mbits = mblob
-    return InstructionStream(
-        buf, address, starts, mbits, chunks=chunks, reconcile_retries=retries,
-        endbr_snaps=snaps,
-    )
+    return InstructionStream(buf, address, starts, mbits)
 
 
 def _stream_from_insns(buf, address: int, insns: list[Instruction]):
@@ -760,7 +573,7 @@ def _stream_from_insns(buf, address: int, insns: list[Instruction]):
     else:
         starts = array("i", offs)
         mbits = bytes(bits)
-    stream = InstructionStream(buf, address, starts, mbits, chunks=1)
+    stream = InstructionStream(buf, address, starts, mbits)
     stream._cache = dict(enumerate(insns))
     return stream
 
@@ -780,36 +593,19 @@ def decode_stream(
     data,
     address: int = 0,
     *,
-    executor=None,
-    chunk_size: int | None = None,
     min_vector_bytes: int | None = None,
 ) -> InstructionStream:
     """Linear-sweep decode *data* into a lazy :class:`InstructionStream`.
 
     Semantics are exactly :func:`~repro.x86.decoder.decode_buffer` —
     undecodable bytes become single-byte ``(bad)`` entries — but the
-    sweep is vectorized when NumPy is available and, for buffers of at
-    least ``_CHUNK_THRESHOLD`` bytes with a parallel *executor*
-    (:class:`~repro.core.parallel.BatchExecutor`), split into chunks
-    decoded concurrently and spliced with boundary reconciliation.
-
-    ``chunk_size`` forces chunked decode regardless of size or executor
-    (chunks run in-process if no executor is given) — used by tests and
-    benchmarks to exercise seams.  ``min_vector_bytes`` overrides the
-    scalar/vector crossover (0 forces the vectorized path).
+    sweep is vectorized when NumPy is available.  ``min_vector_bytes``
+    overrides the scalar/vector crossover (0 forces the vectorized
+    path).
     """
     buf = _freeze(data)
-    n = len(buf)
     floor = _MIN_VECTOR if min_vector_bytes is None else min_vector_bytes
-    if not HAVE_NUMPY or n < floor:
+    if not HAVE_NUMPY or len(buf) < floor:
         return _stream_from_insns(buf, address, decode_buffer(buf, address))
-    if chunk_size is None:
-        if (
-            executor is None
-            or n < _CHUNK_THRESHOLD
-            or not executor.would_parallelize(2)
-        ):
-            starts, mbits, _ = _vector_walk(buf, n, 0)
-            return InstructionStream(buf, address, starts, mbits, chunks=1)
-        chunk_size = max(_MIN_CHUNK, -(-n // executor.jobs))
-    return _decode_chunked(buf, address, executor, chunk_size)
+    starts, mbits = _vector_walk(buf)
+    return InstructionStream(buf, address, starts, mbits)

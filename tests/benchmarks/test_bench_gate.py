@@ -65,6 +65,12 @@ class TestCounterMetrics:
     def test_visits_reduction_passes(self):
         assert not check("alloc_visits", 200, 100)
 
+    def test_loc_growth_regresses(self):
+        assert check("src.loc", 18000, 23000)
+
+    def test_loc_shrink_passes(self):
+        assert not check("src.loc", 19199, 18551)
+
     def test_runs_any_growth_regresses(self):
         assert check("warm_decode_runs", 0, 1)
 
@@ -124,44 +130,3 @@ class TestMissingMetricGate:
         write_bench(base, {"a_s": 1.0, "gone_mb_s": 5.0})
         write_bench(cur, {"a_s": 2.0})
         assert main(["--baseline", str(base), "--current", str(cur)]) == 1
-
-
-class TestEffectiveWorkersSkip:
-    """``parallel.speedup`` is skipped when the current run reports
-    ``parallel.effective_workers <= 1``: a serial-fallback host (one
-    CPU, or ``--jobs 1``) measures pool overhead, not parallelism."""
-
-    def test_skipped_on_serial_fallback_host(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        write_bench(base, {"parallel.speedup": 2.0})
-        write_bench(cur, {"parallel.speedup": 0.5,
-                          "parallel.effective_workers": 1})
-        assert main(["--baseline", str(base), "--current", str(cur)]) == 0
-        assert "skip" in capsys.readouterr().out
-
-    def test_gated_with_real_workers(self, tmp_path):
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        write_bench(base, {"parallel.speedup": 2.0})
-        write_bench(cur, {"parallel.speedup": 0.5,
-                          "parallel.effective_workers": 4})
-        assert main(["--baseline", str(base), "--current", str(cur)]) == 1
-
-    def test_gated_when_workers_unreported(self, tmp_path):
-        # Old-format result files (no effective_workers) keep the rule.
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        write_bench(base, {"parallel.speedup": 2.0})
-        write_bench(cur, {"parallel.speedup": 0.5})
-        assert main(["--baseline", str(base), "--current", str(cur)]) == 1
-
-    def test_skip_beats_strict_missing(self, tmp_path):
-        # Even under --strict, a skipped speedup absent from the current
-        # run must not fail as missing-metric.
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        write_bench(base, {"parallel.speedup": 2.0})
-        write_bench(cur, {"parallel.effective_workers": 1})
-        assert main(["--baseline", str(base), "--current", str(cur),
-                     "--strict"]) == 0

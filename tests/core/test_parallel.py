@@ -1,24 +1,8 @@
-"""BatchExecutor: worker resolution, fallback reasons, ordering."""
+"""Worker-count resolution: argument > $REPRO_JOBS > serial, once."""
 
-import multiprocessing
 import os
 
-from repro.core.parallel import (
-    JOBS_ENV,
-    BatchExecutor,
-    default_start_method,
-    is_picklable,
-    resolve_jobs,
-)
-
-
-def square(x):
-    return x * x
-
-
-def sum_bytes(item):
-    tag, payload = item
-    return (tag, sum(payload))
+from repro.core.parallel import JOBS_ENV, resolve_jobs
 
 
 class TestResolveJobs:
@@ -47,96 +31,6 @@ class TestResolveJobs:
         assert resolve_jobs(-1) == cpus
 
 
-def test_is_picklable():
-    assert is_picklable(42)
-    assert is_picklable(("a", b"bytes", [1, 2]))
-    assert is_picklable(square)  # module-level function
-    assert not is_picklable(lambda x: x)
-
-
-class TestSerialFallback:
-    def test_jobs_one(self):
-        ex = BatchExecutor(jobs=1)
-        assert ex.map(square, [1, 2, 3]) == [1, 4, 9]
-        assert not ex.last.parallel
-        assert ex.last.fallback_reason == "jobs=1"
-
-    def test_single_item(self):
-        ex = BatchExecutor(jobs=4)
-        assert ex.map(square, [7]) == [49]
-        assert not ex.last.parallel
-        assert ex.last.fallback_reason == "single work item"
-
-    def test_unpicklable_function(self):
-        ex = BatchExecutor(jobs=4, cpu_count=4)
-        assert ex.map(lambda x: x + 1, [1, 2]) == [2, 3]
-        assert not ex.last.parallel
-        assert "not picklable" in ex.last.fallback_reason
-
-    def test_unpicklable_item(self):
-        ex = BatchExecutor(jobs=4, cpu_count=4)
-        items = [1, lambda: None, 3]
-        assert ex.map(is_picklable, items) == [True, False, True]
-        assert not ex.last.parallel
-        assert ex.last.fallback_reason == "work item 1 not picklable"
-
-    def test_one_cpu_host_runs_serially(self):
-        # A pool on a single CPU cannot run two workers concurrently, so
-        # it is pure fork/pickle overhead: the executor must auto-serial.
-        ex = BatchExecutor(jobs=4, cpu_count=1)
-        assert ex.map(square, [1, 2, 3]) == [1, 4, 9]
-        assert not ex.last.parallel
-        assert ex.last.fallback_reason == "effective workers <= 1 (cpus=1)"
-
-    def test_pool_failure_degrades_to_serial(self):
-        ex = BatchExecutor(jobs=2, cpu_count=4,
-                           start_method="no-such-start-method")
-        assert ex.map(square, [1, 2, 3]) == [1, 4, 9]
-        assert not ex.last.parallel
-        assert "pool failure" in ex.last.fallback_reason
-
-
-class TestEffectiveWorkers:
-    """The auto-serial heuristic: workers = min(jobs, cpus, items)."""
-
-    def test_clamped_by_each_bound(self):
-        ex = BatchExecutor(jobs=4, cpu_count=2)
-        assert ex.effective_workers(8) == 2   # CPU-bound
-        assert ex.effective_workers(1) == 1   # item-bound
-        assert BatchExecutor(jobs=3, cpu_count=8).effective_workers(9) == 3
-
-    def test_would_parallelize(self):
-        assert BatchExecutor(jobs=4, cpu_count=4).would_parallelize(2)
-        assert not BatchExecutor(jobs=4, cpu_count=1).would_parallelize(8)
-        assert not BatchExecutor(jobs=1, cpu_count=8).would_parallelize(8)
-        assert not BatchExecutor(jobs=4, cpu_count=4).would_parallelize(1)
-
-    def test_default_cpu_count_is_host(self):
-        assert BatchExecutor(jobs=2).cpu_count == (os.cpu_count() or 1)
-
-
-class TestParallel:
-    def test_results_in_input_order(self):
-        # cpu_count pinned so the pool path is exercised on 1-CPU hosts.
-        ex = BatchExecutor(jobs=2, cpu_count=4)
-        items = list(range(16))
-        assert ex.map(square, items) == [x * x for x in items]
-        assert ex.last.parallel
-        assert ex.last.jobs == 2
-        assert ex.last.n_items == 16
-
-    def test_matches_serial_results(self):
-        items = [("a", b"\x01\x02"), ("b", b"\xff" * 10), ("c", b"")]
-        serial = BatchExecutor(jobs=1).map(sum_bytes, list(items))
-        parallel = BatchExecutor(jobs=2, cpu_count=4).map(sum_bytes,
-                                                          list(items))
-        assert serial == parallel
-
-
-def test_default_start_method_is_supported():
-    assert default_start_method() in multiprocessing.get_all_start_methods()
-
-
 class TestExecutorConfig:
     """Env resolution happens once, at config construction — never later."""
 
@@ -150,7 +44,6 @@ class TestExecutorConfig:
         # environment changes mid-flight.
         monkeypatch.setenv(JOBS_ENV, "99")
         assert config.jobs == 5
-        assert BatchExecutor(config).jobs == 5
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         from repro.core.parallel import ExecutorConfig
@@ -163,16 +56,6 @@ class TestExecutorConfig:
 
         assert ExecutorConfig.from_env(jobs=0).jobs == (os.cpu_count() or 1)
 
-    def test_executor_accepts_config(self):
-        from repro.core.parallel import ExecutorConfig
-
-        config = ExecutorConfig(jobs=3, cpu_count=8)
-        ex = BatchExecutor(config)
-        assert ex.jobs == 3
-        assert ex.cpu_count == 8
-        assert ex.config is config
-        assert ex.map(square, [1, 2, 3]) == [1, 4, 9]
-
     def test_config_is_immutable(self):
         import dataclasses
 
@@ -183,29 +66,3 @@ class TestExecutorConfig:
         config = ExecutorConfig(jobs=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.jobs = 4
-
-
-class TestChunkSpans:
-    def test_covers_range_exactly(self):
-        from repro.core.parallel import chunk_spans
-
-        spans = chunk_spans(100, 32)
-        assert spans == [(0, 32), (32, 64), (64, 96), (96, 100)]
-
-    def test_exact_multiple_has_no_stub(self):
-        from repro.core.parallel import chunk_spans
-
-        assert chunk_spans(64, 32) == [(0, 32), (32, 64)]
-
-    def test_empty_total(self):
-        from repro.core.parallel import chunk_spans
-
-        assert chunk_spans(0, 32) == []
-
-    def test_rejects_nonpositive_chunk(self):
-        import pytest
-
-        from repro.core.parallel import chunk_spans
-
-        with pytest.raises(ValueError):
-            chunk_spans(10, 0)

@@ -294,8 +294,6 @@ class TestStreamDecode:
                              observer=obs)
         DecodePass().run(ctx)
         assert isinstance(ctx.instructions, InstructionStream)
-        assert obs.counters["decode.chunks"] >= 1
-        assert "decode.reconcile_retries" in obs.counters
         assert obs.counters["decode.bytes"] == ctx.instructions.total_bytes
 
     def test_match_pass_uses_stream_select(self):

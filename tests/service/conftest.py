@@ -21,9 +21,10 @@ def make_binary(seed: int = 1, sites: int = 25) -> bytes:
 
 
 @contextmanager
-def running_service(tmp_path, *, cache: bool = True, **config_overrides):
-    """Boot a daemon on a unix socket in *tmp_path*; yield (service,
-    client); always drain and join on exit."""
+def running_service(tmp_path, *, cache: bool = True, engine=None,
+                    **config_overrides):
+    """Boot a daemon on a unix socket in *tmp_path* (over *engine*, if
+    given); yield (service, client); always drain and join on exit."""
     overrides = dict(
         socket_path=str(tmp_path / "svc.sock"),
         workers=2,
@@ -34,7 +35,8 @@ def running_service(tmp_path, *, cache: bool = True, **config_overrides):
     overrides.update(config_overrides)
     if cache and "cache" not in overrides:
         overrides["cache"] = CacheConfig.from_env(tmp_path / "store")
-    service = RewriteService(ServiceConfig.from_env(environ={}, **overrides))
+    service = RewriteService(ServiceConfig.from_env(environ={}, **overrides),
+                             engine=engine)
     thread = threading.Thread(target=lambda: asyncio.run(service.run()),
                               daemon=True)
     thread.start()

@@ -9,7 +9,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.parallel import ExecutorConfig
 from repro.core.rewriter import RewriteOptions
+from repro.frontend.engine import EngineConfig, RewriteEngine
 from repro.frontend.tool import instrument_elf
 from repro.service import ServiceClient, ServiceError
 
@@ -121,6 +123,22 @@ class TestObservability:
     def test_cache_disabled_metrics_report_null(self, tmp_path):
         with running_service(tmp_path, cache=False) as (_, client):
             assert client.metrics()["cache"] is None
+
+
+class TestWorkerPool:
+    def test_unset_workers_use_engine_executor_jobs(self, tmp_path):
+        engine = RewriteEngine(EngineConfig(executor=ExecutorConfig(jobs=3)))
+        with running_service(tmp_path, cache=False, engine=engine,
+                             workers=0) as (service, client):
+            assert service.pool_size == 3
+            assert client.health()["workers"] == 3
+
+    def test_explicit_workers_beat_engine_executor(self, tmp_path):
+        engine = RewriteEngine(EngineConfig(executor=ExecutorConfig(jobs=3)))
+        with running_service(tmp_path, cache=False, engine=engine,
+                             workers=2) as (service, client):
+            assert service.pool_size == 2
+            assert client.health()["workers"] == 2
 
 
 class TestBackpressure:

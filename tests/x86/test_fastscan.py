@@ -3,10 +3,9 @@
 ``repro.x86.fastscan.decode_stream`` must be observationally identical
 to ``decode_buffer`` — same instruction starts, same fields, same
 ``(bad)`` bytes — whichever internal route it takes: the scalar
-fallback, the windowed vector walk, or chunked decode with boundary
-reconciliation.  Every test here compares against the scalar decoder,
-so a numpy-less host still runs the fallback-path cases (the vector
-cases skip).
+fallback or the windowed vector walk.  Every test here compares
+against the scalar decoder, so a numpy-less host still runs the
+fallback-path cases (the vector cases skip).
 """
 
 from __future__ import annotations
@@ -81,8 +80,7 @@ ENDBR64 = b"\xf3\x0f\x1e\xfa"
 
 def endbr_heavy(seed: int, n: int) -> bytes:
     """CET-style code: endbr64 landing pads sprinkled between short
-    instruction runs — the corpus the chunk-boundary snapping heuristic
-    is tuned for."""
+    instruction runs."""
     rng = random.Random(seed)
     fillers = [b"\x90", b"\x50", b"\x58", b"\xc3", b"\x48\x89\xc1",
                b"\x31\xc0", b"\x83\xc0\x01"]
@@ -97,7 +95,7 @@ def endbr_heavy(seed: int, n: int) -> bytes:
 
 def endbr_at_seams(chunk_size: int, chunks: int = 24) -> bytes:
     """endbr64 placed exactly at, just before, and straddling every
-    chunk boundary — the seam positions the snapping pass rewrites."""
+    *chunk_size*-byte boundary, between runs of nops."""
     out = bytearray()
     for i in range(chunks):
         body = bytearray(b"\x90" * chunk_size)
@@ -122,8 +120,7 @@ def endbr_at_seams(chunk_size: int, chunks: int = 24) -> bytes:
 
 def endbr_in_immediates(seed: int, n: int) -> bytes:
     """movabs instructions whose *immediate* spells endbr64 — data that
-    looks like a landing pad.  Snapping may anchor a chunk inside the
-    immediate; reconciliation must still converge to the true chain."""
+    looks like a landing pad but is never an instruction start."""
     rng = random.Random(seed)
     out = bytearray()
     while len(out) < n:
@@ -208,111 +205,6 @@ class TestStreamIdentity:
         assert_stream_equals_list(stream, decode_buffer(data))
 
 
-# --- chunked decode with boundary reconciliation ---------------------------
-
-
-@requires_numpy
-class TestChunkedDecode:
-    @pytest.mark.parametrize("chunk_size", [7, 64, 4096])
-    @pytest.mark.parametrize("name", ["random", "prefix-heavy",
-                                      "vex-heavy", "real-text",
-                                      "truncated-tail"])
-    def test_chunked_equals_serial(self, name, chunk_size):
-        """Chunk seams land mid-instruction by construction (sizes 7 and
-        64 cannot align with instruction boundaries for long): the
-        reconciliation walk must still converge to the serial chain."""
-        data = CORPORA[name]
-        serial = decode_stream(data, address=0x400000, min_vector_bytes=0)
-        chunked = decode_stream(data, address=0x400000,
-                                chunk_size=chunk_size, min_vector_bytes=0)
-        assert chunked.start_offsets() == serial.start_offsets()
-        assert chunked.chunks == -(-len(data) // chunk_size)
-        assert chunked.reconcile_retries >= 0
-        # Candidate bits must match too, or select() would diverge.
-        assert bytes(chunked._mbits) == bytes(serial._mbits)
-
-    def test_reconciliation_happens(self):
-        """With 7-byte chunks over real code, some seam must need scalar
-        re-decode steps — otherwise the counter is wired to nothing."""
-        data = CORPORA["real-text"]
-        chunked = decode_stream(data, chunk_size=7, min_vector_bytes=0)
-        assert chunked.reconcile_retries > 0
-
-    def test_executor_backed_chunks(self):
-        from repro.core.parallel import BatchExecutor, ExecutorConfig
-
-        data = CORPORA["real-text"]
-        executor = BatchExecutor(
-            ExecutorConfig(jobs=2, cpu_count=2, start_method="spawn"))
-        serial = decode_stream(data, min_vector_bytes=0)
-        chunked = decode_stream(data, executor=executor,
-                                chunk_size=4096, min_vector_bytes=0)
-        assert chunked.start_offsets() == serial.start_offsets()
-
-    def test_counters_on_serial_stream(self):
-        # Any non-chunked decode is "one chunk, no reconciliation".
-        stream = decode_stream(CORPORA["random"], min_vector_bytes=0)
-        assert stream.chunks == 1
-        assert stream.reconcile_retries == 0
-        assert stream.endbr_snaps == 0
-
-
-# --- endbr64 chunk anchoring ------------------------------------------------
-
-
-@requires_numpy
-class TestEndbrAnchoring:
-    """CET landing pads double as decode anchors: interior chunk
-    boundaries snap forward to the next endbr64, which is a guaranteed
-    instruction start in real CET code.  Snapping is purely a placement
-    heuristic — seam reconciliation still proves every chunk against the
-    true chain, so even adversarial data (endbr bytes inside an
-    immediate) costs retries, never correctness."""
-
-    @pytest.mark.parametrize("chunk_size", [64, 512])
-    @pytest.mark.parametrize("name", ["endbr-heavy", "endbr-seams",
-                                      "endbr-immediates"])
-    def test_differential_vs_reference(self, name, chunk_size):
-        data = CORPORA[name]
-        chunked = decode_stream(data, address=0x400000,
-                                chunk_size=chunk_size, min_vector_bytes=0)
-        assert_stream_equals_list(
-            chunked, decode_buffer(data, address=0x400000),
-            f"{name}/{chunk_size}")
-
-    def test_snaps_counted_on_endbr_heavy_code(self):
-        data = CORPORA["endbr-heavy"]
-        chunked = decode_stream(data, chunk_size=64, min_vector_bytes=0)
-        assert chunked.endbr_snaps > 0
-        serial = decode_stream(data, min_vector_bytes=0)
-        assert chunked.start_offsets() == serial.start_offsets()
-
-    def test_snapped_boundaries_are_instruction_starts(self):
-        """On genuine CET code every snapped boundary is a real
-        instruction start, so reconciliation converges with zero
-        retries — the whole point of anchoring on endbr64."""
-        data = CORPORA["endbr-seams"]
-        chunked = decode_stream(data, chunk_size=64, min_vector_bytes=0)
-        assert chunked.endbr_snaps > 0
-        assert chunked.reconcile_retries == 0
-
-    def test_endbr_inside_immediate_still_correct(self):
-        """Anchors that land inside movabs immediates mis-place chunks;
-        the reconciliation walk must absorb that as retries."""
-        data = CORPORA["endbr-immediates"]
-        serial = decode_stream(data, address=0x1000, min_vector_bytes=0)
-        chunked = decode_stream(data, address=0x1000, chunk_size=64,
-                                min_vector_bytes=0)
-        assert chunked.start_offsets() == serial.start_offsets()
-        assert bytes(chunked._mbits) == bytes(serial._mbits)
-
-    def test_snaps_survive_pickle(self):
-        data = CORPORA["endbr-heavy"]
-        chunked = decode_stream(data, chunk_size=64, min_vector_bytes=0)
-        clone = pickle.loads(pickle.dumps(chunked))
-        assert clone.endbr_snaps == chunked.endbr_snaps
-
-
 # --- select / site_indices -------------------------------------------------
 
 
@@ -347,7 +239,7 @@ class TestSelect:
             stream.site_indices(foreign)
 
 
-# --- pickling (artifact cache + process fan-out) ---------------------------
+# --- pickling (artifact store) ---------------------------------------------
 
 
 class TestPickle:
@@ -541,17 +433,6 @@ class TestWindowSeams:
             stream = decode_stream(buf, address=0x1000, min_vector_bytes=0)
             assert_stream_equals_list(
                 stream, decode_buffer(buf, address=0x1000), name)
-
-    @pytest.mark.parametrize("chunk_size", [7, 16, 64])
-    def test_chunk_seams_reconcile_long_instructions(self, chunk_size):
-        """Seam reconciliation scans single positions: a 15-byte
-        instruction there must not look truncated."""
-        data = self.long_insns(chunk_size, 4096)
-        serial = decode_stream(data, min_vector_bytes=0)
-        chunked = decode_stream(data, chunk_size=chunk_size, min_vector_bytes=0)
-        assert chunked.reconcile_retries > 0
-        assert chunked.start_offsets() == serial.start_offsets()
-        assert bytes(chunked._mbits) == bytes(serial._mbits)
 
     @pytest.mark.parametrize("insn", LONG)
     def test_buffer_ends_inside_instruction(self, insn):
