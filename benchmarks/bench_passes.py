@@ -38,7 +38,7 @@ import time
 
 from repro.core.cache import ArtifactStore
 from repro.core.observe import Observer
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
 from repro.frontend.tool import instrument_elf, rewrite_many
 from repro.synth.generator import SynthesisParams, synthesize

@@ -11,7 +11,7 @@ instruction count) and an overflowing run (caught).
 Run:  python3 examples/harden_heap_writes.py
 """
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.elf.reader import ElfFile
 from repro.frontend.lineardisasm import disassemble_text
@@ -30,9 +30,10 @@ def harden(image: bytes, layout: LowFatLayout):
     elf = ElfFile(image)
     instructions = disassemble_text(elf)
     sites = [i for i in instructions if match_heap_writes(i)]
-    rewriter = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-    checker = install_lowfat_heap(rewriter, layout)
-    result = rewriter.rewrite(
+    ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                         instructions=instructions)
+    checker = install_lowfat_heap(ctx, layout)
+    result = ctx.rewrite(
         [PatchRequest(insn=i, instrumentation=lowfat_instrumentation(checker))
          for i in sites]
     )

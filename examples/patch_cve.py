@@ -12,7 +12,7 @@ the developer's fix, then falls back into the original stream.
 Run:  python3 examples/patch_cve.py
 """
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Instrumentation
 from repro.elf import constants as elfc
@@ -82,15 +82,16 @@ def main() -> None:
     print(f"  {site}\n")
 
     flag_vaddr = elf.section(".data").vaddr
-    rewriter = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-    result = rewriter.rewrite(
+    ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                         instructions=instructions)
+    result = ctx.rewrite(
         [PatchRequest(insn=site, instrumentation=DeveloperFix(flag_vaddr))]
     )
     patch = result.plan.patches[0]
     print(f"tactic used: {patch.tactic.value}")
 
     print("\nrewritten bytes around the patch site:")
-    raw = rewriter.image.read(site_vaddr - 7, 16)
+    raw = ctx.image.read(site_vaddr - 7, 16)
     for insn in decode_buffer(raw, address=site_vaddr - 7):
         marker = "  <- was 'mov %ebx,%ebp'" if insn.address == site_vaddr else ""
         print(f"  {insn}{marker}")

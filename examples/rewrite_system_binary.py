@@ -16,7 +16,7 @@ import subprocess
 import sys
 import tempfile
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import instrument_elf
 
 

@@ -3,7 +3,7 @@
 Public API (see README.md for a quickstart)::
 
     from repro import (
-        ElfFile, Rewriter, RewriteOptions, PatchRequest,
+        ElfFile, RewriteContext, RewriteOptions, PatchRequest,
         disassemble_text, instrument_elf, run_elf,
     )
 
@@ -11,7 +11,7 @@ The subpackages:
 
 * :mod:`repro.x86` -- instruction decoding/encoding/formatting
 * :mod:`repro.elf` -- ELF64 reading, in-place rewriting, building
-* :mod:`repro.core` -- pun math, tactics, strategy, grouping, Rewriter
+* :mod:`repro.core` -- pun math, tactics, strategy, grouping, the pipeline
 * :mod:`repro.frontend` -- disassembly, matchers, CLI, JSON-RPC protocol
 * :mod:`repro.vm` -- the x86-64 interpreter testbed
 * :mod:`repro.lowfat` -- low-fat pointer heap hardening
@@ -24,7 +24,7 @@ __version__ = "1.0.0"
 from repro.apps.coverage import CoverageInstrumenter, CoverageReport
 from repro.apps.fuzzer import Fuzzer, build_fuzz_target
 from repro.apps.tracer import Trace, TracedBinary, Tracer
-from repro.core.rewriter import RewriteOptions, RewriteResult, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions, RewriteResult
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.tactics import Tactic
 from repro.core.templates import TrampolineTemplate, load_template
@@ -57,7 +57,7 @@ __all__ = [
     "TracedBinary",
     "Trace",
     # core
-    "Rewriter",
+    "RewriteContext",
     "RewriteOptions",
     "RewriteResult",
     "PatchRequest",

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.observe import Observer
-from repro.core.pipeline import MatchPass
-from repro.core.rewriter import RewriteOptions, RewriteResult, Rewriter
+from repro.core.pipeline import MatchPass, RewriteContext, RewriteOptions, RewriteResult
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Counter
-from repro.frontend.matchers import MATCHERS, Matcher
+from repro.frontend.matchers import Matcher, resolve_matcher
 from repro.frontend.tool import prepare_binary
 from repro.vm.machine import Machine
 
@@ -38,16 +37,16 @@ class CoverageInstrumenter:
     observer: Observer | None = None
 
     def instrument(self, data: bytes) -> "InstrumentedBinary":
-        matcher = (MATCHERS[self.matcher]
-                   if isinstance(self.matcher, str) else self.matcher)
+        matcher = resolve_matcher(self.matcher)
         base = prepare_binary(data, observer=self.observer)
         MatchPass(matcher).run(base)
         sites = base.sites
 
-        rewriter = Rewriter(base.elf, base.instructions, self.options,
-                            observer=base.observer)
+        ctx = RewriteContext(elf=base.elf, options=self.options,
+                             observer=base.observer,
+                             instructions=base.instructions)
         map_bytes = max(PAGE, -(-len(sites) * SLOT_SIZE // PAGE) * PAGE)
-        map_vaddr = rewriter.add_runtime_data(map_bytes)
+        map_vaddr = ctx.add_runtime_data(map_bytes)
 
         requests = []
         slots: dict[int, int] = {}
@@ -57,7 +56,7 @@ class CoverageInstrumenter:
             requests.append(
                 PatchRequest(insn=insn, instrumentation=Counter(slot_vaddr))
             )
-        result = rewriter.rewrite(requests)
+        result = ctx.rewrite(requests)
         return InstrumentedBinary(
             result=result, map_vaddr=map_vaddr, slots=slots
         )

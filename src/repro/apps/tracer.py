@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.observe import Observer
-from repro.core.pipeline import MatchPass
-from repro.core.rewriter import RewriteOptions, RewriteResult, Rewriter
+from repro.core.pipeline import MatchPass, RewriteContext, RewriteOptions, RewriteResult
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Instrumentation
-from repro.frontend.matchers import MATCHERS, Matcher
+from repro.frontend.matchers import Matcher, resolve_matcher
 from repro.frontend.tool import prepare_binary
 from repro.vm.machine import Machine
 from repro.x86 import encoder as enc
@@ -75,18 +74,18 @@ class Tracer:
     observer: Observer | None = None
 
     def instrument(self, data: bytes) -> "TracedBinary":
-        matcher = (MATCHERS[self.matcher]
-                   if isinstance(self.matcher, str) else self.matcher)
+        matcher = resolve_matcher(self.matcher)
         base = prepare_binary(data, observer=self.observer)
         MatchPass(matcher).run(base)
         sites = base.sites
 
-        rewriter = Rewriter(base.elf, base.instructions, self.options,
-                            observer=base.observer)
+        ctx = RewriteContext(elf=base.elf, options=self.options,
+                             observer=base.observer,
+                             instructions=base.instructions)
         size = HEADER_SIZE + 8 * self.capacity
-        buffer_vaddr = rewriter.add_runtime_data(size)
+        buffer_vaddr = ctx.add_runtime_data(size)
         instr = TraceRecord(buffer_vaddr, self.capacity)
-        result = rewriter.rewrite(
+        result = ctx.rewrite(
             [PatchRequest(insn=i, instrumentation=instr) for i in sites]
         )
         return TracedBinary(result=result, buffer_vaddr=buffer_vaddr,

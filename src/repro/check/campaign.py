@@ -34,7 +34,7 @@ from pathlib import Path
 
 from repro.check.oracle import Divergence, EquivalenceReport, RunSummary, check_rewrite
 from repro.core.observe import Observer
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
 from repro.errors import PatchError
 from repro.synth.generator import SynthesisParams, synthesize

@@ -435,17 +435,11 @@ def sites_and_traps(
     """
     # Local imports: repro.frontend pulls in the CLI, which imports the
     # pipeline, which must stay importable without this module.
-    from repro.elf.reader import ElfFile
-    from repro.frontend.lineardisasm import disassemble_functions, disassemble_text
-    from repro.frontend.matchers import MATCHERS
+    from repro.frontend.matchers import resolve_matcher
+    from repro.frontend.tool import prepare_binary
 
-    elf = ElfFile(data)
-    if frontend == "symbols":
-        instructions = disassemble_functions(elf)
-    else:
-        instructions = disassemble_text(elf)
-    if isinstance(matcher, str):
-        matcher = MATCHERS[matcher]
+    instructions = prepare_binary(data, frontend=frontend).instructions
+    matcher = resolve_matcher(matcher)
     sites = frozenset(
         i.address for i in instructions if matcher is None or matcher(i)
     )

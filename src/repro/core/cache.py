@@ -69,13 +69,17 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: Modules whose source feeds the toolchain fingerprint: anything that
 #: changes what a decoded stream or a match result *means* — including
 #: fastscan, which computes a stream's start offsets and the candidate
-#: bits that prune named-matcher sites.
+#: bits that prune named-matcher sites; flow, whose ``is_heap_write``
+#: decides the ``heap-writes`` sites; and symbols, whose function ranges
+#: are the ``symbols`` frontend's decode extents.
 _FINGERPRINT_MODULES = (
     "repro.x86.decoder",
     "repro.x86.tables",
     "repro.x86.prefixes",
     "repro.x86.insn",
     "repro.x86.fastscan",
+    "repro.x86.flow",
+    "repro.elf.symbols",
     "repro.frontend.lineardisasm",
     "repro.frontend.matchers",
 )

@@ -2,10 +2,10 @@
 
 The paper's rewriter is a fixed sequence — disassemble, match, strategy
 S1, physical page grouping, emission — and this module expresses it as
-exactly that: a list of :class:`Pass` objects run over one
+exactly that: :class:`PipelinePass` objects run over one
 :class:`RewriteContext` that owns every inter-stage hand-off as a typed
 field (instruction stream, matched sites, patch plan, grouping, emission
-artifacts).  The standard passes are
+artifacts).  The passes are
 
 * :class:`DecodePass`   — frontend disassembly (skipped when the context
   already carries an instruction stream, which is how the batch API
@@ -18,15 +18,19 @@ artifacts).  The standard passes are
 * :class:`VerifyPass`   — optional: re-decode every patched site and
   check its jump lands in a trampoline or back inside the image.
 
-Every pass runs under the context's :class:`~repro.core.observe.Observer`
-(wall-time, counters, trace hooks).  :class:`repro.core.rewriter.Rewriter`
-is a thin compatibility facade over this module.
+:meth:`RewriteContext.rewrite` runs the post-match sequence — plan,
+group, emit, then the lint/verify/equivalence checks the options ask
+for — and is the one place that order is written.  Every pass runs
+under the context's :class:`~repro.core.observe.Observer` (wall-time,
+counters, trace hooks).  Like E9Patch itself, the rewriter does not
+disassemble: instruction locations and sizes come from a frontend (see
+:mod:`repro.frontend`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 from repro.core.allocator import AddressSpace
 from repro.core.binary import CodeImage
@@ -62,7 +66,6 @@ class RewriteOptions:
     grouping: bool = True  # physical page grouping on/off (ablation)
     granularity: int = 1  # M pages per block
     toggles: TacticToggles = field(default_factory=TacticToggles)
-    guard_pages: int = 1  # guard between segments and trampolines
     # Treat the input as a shared object: positive link-time offsets only
     # (the dynamic linker loads other objects into the negative range).
     # Loader-mode .so rewriting hijacks DT_INIT instead of e_entry and
@@ -142,7 +145,10 @@ class RewriteContext:
 
     A context is built once per rewrite configuration; decode-level
     fields (``instructions``, ``sites``) may be injected from a previous
-    context to share work (see ``rewrite_many``).
+    context to share work (see ``rewrite_many``).  Built with an
+    instruction stream, the context prepares its workspace at once, so
+    ``image`` and ``space`` are readable (and runtime code/data can be
+    injected) before :meth:`rewrite`.
     """
 
     elf: ElfFile
@@ -191,6 +197,10 @@ class RewriteContext:
     # PT_LOAD filesz covers (the loader stub mmaps them at runtime).
     blob_maps: list[tuple[int, int, int]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if self.instructions is not None:
+            self.prepare_workspace()
+
     # -- workspace construction -----------------------------------------
 
     def prepare_workspace(self) -> None:
@@ -209,14 +219,15 @@ class RewriteContext:
             raise PatchError("binary has no executable PT_LOAD segment")
         self.image = CodeImage.from_ranges(exec_ranges)
 
+        # Guard between the image's segments and the first trampoline:
+        # one block, and never less than a page.
         block = self.options.granularity * PAGE_SIZE
-        guard = max(self.options.guard_pages * PAGE_SIZE, block)
         self.space = AddressSpace.for_binary(
             [(p.vaddr, p.memsz) for p in self.elf.phdrs
              if p.type == elfc.PT_LOAD],
             pie=self.elf.is_pie,
             shared=self.options.shared,
-            guard=guard,
+            guard=max(PAGE_SIZE, block),
         )
         self.space.pack_pages = self.options.pack_allocations
         for lo, hi in self.options.reserve_extra:
@@ -277,6 +288,25 @@ class RewriteContext:
         self.meta_segments.append((vaddr, size))
         return vaddr
 
+    # -- the post-match pass sequence ------------------------------------
+
+    def rewrite(self, requests: list[PatchRequest]) -> RewriteResult:
+        """Plan *requests*, group and emit, then run the checks the
+        options ask for (lint, verify, equivalence, in that order)."""
+        passes = [PlanPass(requests), GroupPass(), EmitPass()]
+        if self.options.lint:
+            # Local import: the lint layer imports this module back.
+            from repro.analysis.lint import LintPass
+
+            passes.append(LintPass())
+        if self.options.verify:
+            passes.append(VerifyPass())
+        if self.options.check:
+            passes.append(EquivalencePass())
+        for p in passes:
+            p.run(self)
+        return self.result()
+
     def result(self) -> RewriteResult:
         """Bundle the context's products into a :class:`RewriteResult`."""
         if self.output is None or self.plan is None:
@@ -295,15 +325,6 @@ class RewriteContext:
             equivalence=self.equivalence,
             lint=self.lint,
         )
-
-
-@runtime_checkable
-class Pass(Protocol):
-    """One pipeline stage: reads and extends the shared context."""
-
-    name: str
-
-    def run(self, ctx: RewriteContext) -> None: ...
 
 
 class PipelinePass:
@@ -742,35 +763,3 @@ class EquivalencePass(PipelinePass):
                 f"{d.kind if d else '?'}: {d.detail if d else ''}"
             )
 
-
-def standard_passes(
-    matcher=None,
-    requests: list[PatchRequest] | None = None,
-    *,
-    frontend: str = "linear",
-    verify: bool = False,
-    check: bool = False,
-    lint: bool = False,
-) -> list[Pass]:
-    """The canonical pass sequence for one rewrite configuration."""
-    passes: list[Pass] = [DecodePass(frontend)]
-    if matcher is not None:
-        passes.append(MatchPass(matcher))
-    passes += [PlanPass(requests), GroupPass(), EmitPass()]
-    if lint:
-        # Local import: the lint layer imports this module back.
-        from repro.analysis.lint import LintPass
-
-        passes.append(LintPass())
-    if verify:
-        passes.append(VerifyPass())
-    if check:
-        passes.append(EquivalencePass())
-    return passes
-
-
-def run_pipeline(ctx: RewriteContext, passes: list[Pass]) -> RewriteContext:
-    """Run *passes* in order over *ctx* and return it."""
-    for p in passes:
-        p.run(ctx)
-    return ctx

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Empty
 from repro.elf.reader import ElfFile
@@ -78,8 +78,9 @@ def _run_suite(suite: str, browser: str, seed: int) -> DromaeoResult:
     n_instrumented = int(len(sites) * coverage)
     sites = sites[:n_instrumented]
 
-    rewriter = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-    result = rewriter.rewrite(
+    ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                         instructions=instructions)
+    result = ctx.rewrite(
         [PatchRequest(insn=i, instrumentation=Empty()) for i in sites]
     )
     patched = run_elf(result.data)

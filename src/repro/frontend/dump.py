@@ -19,18 +19,8 @@ import argparse
 from collections import Counter
 
 from repro.elf.reader import ElfFile
-from repro.frontend.lineardisasm import disassemble_functions, disassemble_text
-from repro.frontend.matchers import MATCHERS, Matcher
-
-
-def resolve_matcher(text: str | None) -> Matcher | None:
-    if text is None:
-        return None
-    if text in MATCHERS:
-        return MATCHERS[text]
-    from repro.frontend.match_expr import compile_matcher
-
-    return compile_matcher(text)
+from repro.frontend.matchers import Matcher, resolve_matcher
+from repro.frontend.tool import prepare_binary
 
 
 def dump_lines(data: bytes, *, matcher: Matcher | None = None,
@@ -38,11 +28,11 @@ def dump_lines(data: bytes, *, matcher: Matcher | None = None,
                function: str | None = None,
                limit: int | None = None) -> list[str]:
     """Produce annotated disassembly lines."""
-    elf = ElfFile(data)
     if function is not None:
         from repro.elf.symbols import function_symbols
         from repro.x86.decoder import decode_buffer
 
+        elf = ElfFile(data)
         syms = [s for s in function_symbols(elf) if s.name == function]
         if not syms:
             raise SystemExit(f"no function symbol {function!r}")
@@ -50,10 +40,8 @@ def dump_lines(data: bytes, *, matcher: Matcher | None = None,
         offset = elf.vaddr_to_offset(sym.value)
         instructions = decode_buffer(
             elf.data[offset : offset + sym.size], address=sym.value)
-    elif frontend == "symbols":
-        instructions = disassemble_functions(elf)
     else:
-        instructions = disassemble_text(elf)
+        instructions = prepare_binary(data, frontend=frontend).instructions
 
     lines = []
     for insn in instructions[: limit if limit else None]:
@@ -65,9 +53,7 @@ def dump_lines(data: bytes, *, matcher: Matcher | None = None,
 def summarize(data: bytes, matcher: Matcher,
               frontend: str = "linear") -> list[str]:
     """Site statistics: counts by mnemonic and by instruction length."""
-    elf = ElfFile(data)
-    instructions = (disassemble_functions(elf) if frontend == "symbols"
-                    else disassemble_text(elf))
+    instructions = prepare_binary(data, frontend=frontend).instructions
     sites = [i for i in instructions if matcher(i)]
     by_mnemonic = Counter(i.mnemonic for i in sites)
     by_length = Counter(i.length for i in sites)

@@ -32,16 +32,15 @@ from dataclasses import dataclass, field
 from repro.core.cache import ArtifactStore, CacheConfig
 from repro.core.observe import Observer
 from repro.core.parallel import ExecutorConfig
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
-from repro.frontend.matchers import MATCHERS
-from repro.frontend.tool import InstrumentReport, RewriteConfig, rewrite_many
+from repro.frontend.tool import InstrumentReport, instrument_elf
 
 __all__ = ["EngineConfig", "RewriteEngine", "options_from_dict"]
 
 #: JSON option keys accepted by :func:`options_from_dict`.
 _OPTION_KEYS = frozenset({
-    "mode", "grouping", "granularity", "guard_pages", "shared",
+    "mode", "grouping", "granularity", "shared",
     "library_path", "pack_allocations", "verify", "check",
     "liveness", "lint", "t1", "t2", "t3", "b0",
 })
@@ -70,7 +69,6 @@ def options_from_dict(params: dict) -> RewriteOptions:
         mode=mode,
         grouping=bool(params.get("grouping", True)),
         granularity=int(params.get("granularity", 1)),
-        guard_pages=int(params.get("guard_pages", 1)),
         shared=bool(params.get("shared", False)),
         library_path=params.get("library_path"),
         pack_allocations=bool(params.get("pack_allocations", False)),
@@ -129,21 +127,14 @@ class RewriteEngine:
     ) -> InstrumentReport:
         """One stateless rewrite request.
 
-        *matcher* is a named matcher or a match expression (compiled
-        here, off the engine's shared state); *observer* defaults to a
-        fresh per-request instance so concurrent requests never share
+        *matcher* is a named matcher or a match expression (compiled per
+        request, off the engine's shared state); *observer* defaults to
+        a fresh per-request instance so concurrent requests never share
         timing accumulators.
         """
-        spec = matcher
-        if isinstance(matcher, str) and matcher not in MATCHERS:
-            from repro.frontend.match_expr import compile_matcher
-
-            spec = compile_matcher(matcher)
-        return rewrite_many(
-            bytes(data),
-            [RewriteConfig(matcher=spec, instrumentation=instrumentation,
-                           options=options)],
+        return instrument_elf(
+            bytes(data), matcher, instrumentation, options,
             frontend=frontend or self.config.frontend,
             observer=observer or Observer(),
             cache=self.store,
-        )[0]
+        )

@@ -57,6 +57,22 @@ MATCHERS: dict[str, Matcher] = {
 }
 
 
+def resolve_matcher(spec: Matcher | str | None) -> Matcher | None:
+    """The predicate for a matcher spec: the :data:`MATCHERS` entry for a
+    name, a compiled match expression for any other string, and anything
+    else (a callable, or ``None``) unchanged."""
+    if not isinstance(spec, str):
+        return spec
+    named = MATCHERS.get(spec)
+    if named is not None:
+        return named
+    # Imported here: the expression language pulls in repro.analysis,
+    # which named matchers never need.
+    from repro.frontend.match_expr import compile_matcher
+
+    return compile_matcher(spec)
+
+
 def select_sites(
     instructions: list[Instruction], matcher: Matcher
 ) -> list[Instruction]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import PatchError, ReproError
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.templates import BUILTIN_TEMPLATES, TrampolineTemplate, load_template
 from repro.elf.reader import ElfFile
@@ -194,10 +194,11 @@ class E9PatchSession:
             instructions = disassemble_text(elf)
         index = {i.address: i for i in instructions}
 
-        rewriter = Rewriter(elf, instructions, self.options)
+        ctx = RewriteContext(elf=elf, options=self.options,
+                             instructions=instructions)
         reserved: dict[str, int] = {}
         for name, size in self.reservations:
-            reserved[name] = rewriter.add_runtime_data(size)
+            reserved[name] = ctx.add_runtime_data(size)
 
         requests = []
         for pending in self.patches:
@@ -213,7 +214,7 @@ class E9PatchSession:
             requests.append(PatchRequest(
                 insn=insn, instrumentation=template.instantiate(**bound)))
 
-        result = rewriter.rewrite(requests)
+        result = ctx.rewrite(requests)
         self.emitted = result.data
         response: dict[str, Any] = {
             "stats": result.stats.row(),

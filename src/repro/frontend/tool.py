@@ -1,12 +1,14 @@
 """The e9tool analogue: one-call instrumentation of an ELF binary, a
 batch API over the staged pipeline, and a command-line interface.
 
-``instrument_elf`` runs the standard pass sequence (decode -> match ->
-plan -> group -> emit) for one configuration; ``rewrite_many`` runs many
+``instrument_elf`` runs the pass sequence (decode -> match -> plan ->
+group -> emit) for one configuration; ``rewrite_many`` runs many
 configurations of the same binary while decoding the instruction stream
 once and caching matcher results — the eval/ablation drivers are thin
 loops over it.  Both surface per-pass wall-time and counters through the
-shared :class:`~repro.core.observe.Observer`.
+shared :class:`~repro.core.observe.Observer`.  Matcher specs resolve
+through :func:`~repro.frontend.matchers.resolve_matcher` and frontends
+through :func:`prepare_binary`, the one home of each decision.
 
 Every rewrite runs in-process.  An optional ``cache`` (an
 :class:`~repro.core.cache.ArtifactStore`) persists decoded instruction
@@ -26,13 +28,17 @@ from repro.analysis.lint import LintError
 from repro.core.cache import ArtifactStore
 from repro.core.grouping import DEFAULT_MAX_MAP_COUNT
 from repro.core.observe import Observer, derive_throughput, stderr_trace_hook
-from repro.core.pipeline import DecodePass, MatchPass, RewriteContext
-from repro.core.rewriter import RewriteOptions, RewriteResult, Rewriter
+from repro.core.pipeline import DecodePass, MatchPass, RewriteContext, RewriteOptions, RewriteResult
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.trampoline import Counter, Empty, Instrumentation
 from repro.elf.reader import ElfFile
-from repro.frontend.matchers import MATCHERS, Matcher
+from repro.errors import ReproError
+from repro.frontend.matchers import MATCHERS, Matcher, resolve_matcher
 from repro.x86.fastscan import InstructionStream
+
+#: Named instrumentation bodies: ``e9patch -i``, ``repro lint -I`` and
+#: the service's ``instrumentation`` field all accept exactly these.
+INSTRUMENTATIONS = ("empty", "counter")
 
 
 @dataclass
@@ -109,21 +115,21 @@ class RewriteConfig:
 
 
 def _resolve_instrumentation(
-    rewriter: Rewriter, instrumentation
+    ctx: RewriteContext, instrumentation
 ) -> tuple[Instrumentation, int | None]:
     """Turn the user-facing instrumentation spec into a concrete body."""
     counter_vaddr: int | None = None
     if instrumentation is None or instrumentation == "empty":
         instrumentation = Empty()
     elif instrumentation == "counter":
-        counter_vaddr = rewriter.add_runtime_data(4096)
+        counter_vaddr = ctx.add_runtime_data(4096)
         # ET_DYN images (shared objects, PIE) relocate at load time, so
         # the counter access must be rip-relative, not movabs.
-        instrumentation = Counter(counter_vaddr, pic=rewriter.elf.is_pie)
+        instrumentation = Counter(counter_vaddr, pic=ctx.elf.is_pie)
     elif callable(instrumentation) and not isinstance(instrumentation,
                                                       Instrumentation):
-        # A factory receiving the rewriter (for runtime code/data setup).
-        instrumentation = instrumentation(rewriter)
+        # A factory receiving the context (for runtime code/data setup).
+        instrumentation = instrumentation(ctx)
     return instrumentation, counter_vaddr
 
 
@@ -170,19 +176,23 @@ def prepare_binary(
 def _match_sites(
     base: RewriteContext,
     spec: Matcher | str,
+    fn: Matcher,
     site_cache: dict[object, list],
     cache: ArtifactStore | None,
     decode_key: str | None,
 ) -> list:
-    """Resolve a matcher spec to its site list: per-batch memo first,
-    then the on-disk cache (named matchers only), then ``MatchPass``."""
+    """The site list of matcher *spec* (resolved to *fn*): per-batch memo
+    first, then the on-disk store, then ``MatchPass``.  The store keeps
+    only named matchers: an expression's meaning also depends on
+    ``match_expr`` and ``analysis.facts``, which the store's toolchain
+    fingerprint does not cover."""
     memo_key = spec if isinstance(spec, str) else id(spec)
     if memo_key in site_cache:
         return site_cache[memo_key]
 
     observer = base.observer
     match_key = None
-    if cache is not None and isinstance(spec, str):
+    if cache is not None and isinstance(spec, str) and spec in MATCHERS:
         match_key = cache.match_key(decode_key, spec)
         indices = cache.get("match", match_key)
         if (isinstance(indices, list)
@@ -196,7 +206,6 @@ def _match_sites(
             return sites
         observer.count("cache.match.misses")
 
-    fn = MATCHERS[spec] if isinstance(spec, str) else spec
     MatchPass(fn).run(base)
     sites = base.sites
     if match_key is not None:
@@ -233,11 +242,23 @@ def rewrite_many(
     The instruction stream is decoded exactly once and matcher results
     are memoized per matcher (checkable via the shared observer's
     ``pass.decode.runs`` / ``pass.match.runs`` counters); every
-    configuration gets a fresh planner and emitter, hence a fresh
-    allocator.
+    configuration gets a fresh :class:`RewriteContext`, hence a fresh
+    allocator.  Every matcher and instrumentation spec is resolved
+    before anything is decoded, so a bad expression or an unknown
+    instrumentation name fails first, with a :class:`ReproError`.
     """
     norm = [cfg if isinstance(cfg, RewriteConfig) else RewriteConfig(options=cfg)
             for cfg in configs]
+    resolved = []
+    for cfg in norm:
+        spec = cfg.matcher if cfg.matcher is not None else matcher
+        body = (cfg.instrumentation if cfg.instrumentation is not None
+                else instrumentation)
+        if isinstance(body, str) and body not in INSTRUMENTATIONS:
+            raise ReproError(
+                f"unknown instrumentation {body!r} "
+                f"(expected one of: {', '.join(INSTRUMENTATIONS)})")
+        resolved.append((cfg, spec, resolve_matcher(spec), body))
     shared_observer = (source.observer if isinstance(source, RewriteContext)
                        else observer or Observer())
     # Snapshot *before* decoding: the first configuration's per-run
@@ -258,23 +279,21 @@ def rewrite_many(
 
     site_cache: dict[object, list] = {}
     reports: list[InstrumentReport] = []
-    for n, cfg in enumerate(norm):
+    for n, (cfg, spec, fn, body_spec) in enumerate(resolved):
         if n > 0:
             # Per-run counter scope: each configuration's report carries
             # only its own pass work, not the batch's running total.
             run_snapshot = shared_observer.snapshot()
-        spec = cfg.matcher if cfg.matcher is not None else matcher
-        sites = _match_sites(base, spec, site_cache, cache, decode_key)
+        sites = _match_sites(base, spec, fn, site_cache, cache, decode_key)
 
-        body_spec = (cfg.instrumentation if cfg.instrumentation is not None
-                     else instrumentation)
-        rewriter = Rewriter(base.elf, base.instructions,
-                            cfg.options or RewriteOptions(),
-                            observer=shared_observer)
-        body, counter_vaddr = _resolve_instrumentation(rewriter, body_spec)
+        ctx = RewriteContext(elf=base.elf,
+                             options=cfg.options or RewriteOptions(),
+                             observer=shared_observer,
+                             instructions=base.instructions)
+        body, counter_vaddr = _resolve_instrumentation(ctx, body_spec)
         requests = [PatchRequest(insn=i, instrumentation=body)
                     for i in sites]
-        result = rewriter.rewrite(requests)
+        result = ctx.rewrite(requests)
         result.timings, result.counters = (
             shared_observer.since(run_snapshot))
         reports.append(InstrumentReport(
@@ -297,8 +316,9 @@ def instrument_elf(
 ) -> InstrumentReport:
     """Instrument every matched instruction of the binary *data*.
 
-    *matcher* may be a predicate or one of the named matchers
-    (``"jumps"``, ``"heap-writes"``, ``"calls"``, ``"all"``).
+    *matcher* may be a predicate, one of the named matchers
+    (``"jumps"``, ``"heap-writes"``, ``"calls"``, ``"all"``) or a match
+    expression (:mod:`repro.frontend.match_expr`).
     *instrumentation* may be an :class:`Instrumentation`, ``"empty"``, or
     ``"counter"`` (a shared 64-bit counter placed in a fresh RW segment;
     its address is reported in the result).  A single-configuration
@@ -362,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         "'mnemonic == \"call\" and size >= 5' (default: jumps)",
     )
     parser.add_argument(
-        "-i", "--instrument", default="empty", choices=("empty", "counter"),
+        "-i", "--instrument", default="empty", choices=INSTRUMENTATIONS,
         help="instrumentation body (default: empty)",
     )
     parser.add_argument(
@@ -506,12 +526,6 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.input, "rb") as f:
         data = f.read()
 
-    matcher: Matcher | str = args.match
-    if args.match not in MATCHERS:
-        from repro.frontend.match_expr import compile_matcher
-
-        matcher = compile_matcher(args.match)
-
     instrumentation: object = args.instrument
     if args.template:
         from repro.core.templates import load_template
@@ -519,12 +533,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.template) as f:
             template = load_template(f.read())
 
-        def factory(rewriter):
+        def factory(ctx):
             bound = {}
             for item in args.template_arg:
                 name, _, value = item.partition("=")
                 if value == "alloc":
-                    bound[name] = rewriter.add_runtime_data(4096)
+                    bound[name] = ctx.add_runtime_data(4096)
                     if not args.json:
                         print(f"{name} at {bound[name]:#x}")
                 else:
@@ -541,8 +555,8 @@ def main(argv: list[str] | None = None) -> int:
     def run() -> InstrumentReport:
         return rewrite_many(
             data,
-            [RewriteConfig(matcher=matcher, instrumentation=instrumentation,
-                           options=options)],
+            [RewriteConfig(matcher=args.match,
+                           instrumentation=instrumentation, options=options)],
             frontend=args.frontend, observer=observer, cache=cache,
         )[0]
 
@@ -557,9 +571,11 @@ def main(argv: list[str] | None = None) -> int:
             stats.sort_stats("cumulative").print_stats(max(1, args.profile))
         else:
             report = run()
-    except LintError as exc:
-        for finding in exc.report.findings:
-            print(f"  {finding}", file=sys.stderr)
+    except ReproError as exc:
+        # A bad -M expression, a non-ELF input, a failed rewrite or lint.
+        if isinstance(exc, LintError):
+            for finding in exc.report.findings:
+                print(f"  {finding}", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if report.counter_vaddr is not None and not args.json:
@@ -583,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
         oracle = check_rewrite(
             data, report.result.data,
             b0_sites=report.result.b0_sites,
-            matcher=matcher, frontend=args.frontend,
+            matcher=args.match, frontend=args.frontend,
         )
         campaign = None
         if args.check_count > 0:

@@ -1,7 +1,7 @@
 """Machine-code redzone checker injected into hardened binaries.
 
 The check function is real x86-64 emitted by our assembler and placed in
-the rewritten binary by :meth:`Rewriter.add_runtime_code`; every
+the rewritten binary by :meth:`RewriteContext.add_runtime_code`; every
 heap-write trampoline calls it with the effective store address in
 ``%rdi`` (see :class:`repro.core.trampoline.CallFunction`).  On a redzone
 violation it prints a diagnostic and exits with code 42 — in both the VM
@@ -108,11 +108,11 @@ def lowfat_instrumentation(check_vaddr: int) -> Instrumentation:
                         clobbers=(enc.RDI,), preserves_flags=True)
 
 
-def install_lowfat_heap(rewriter, layout: LowFatLayout | None = None) -> int:
-    """Inject the check function into *rewriter* (a
-    :class:`repro.core.rewriter.Rewriter`); returns its address."""
+def install_lowfat_heap(ctx, layout: LowFatLayout | None = None) -> int:
+    """Inject the check function into *ctx* (a
+    :class:`repro.core.pipeline.RewriteContext`); returns its address."""
     layout = layout or LowFatLayout()
     size = check_function_size(layout)
-    return rewriter.add_runtime_code(
+    return ctx.add_runtime_code(
         lambda vaddr: build_check_function(layout, vaddr), size, tag="lowfat"
     )

@@ -26,6 +26,7 @@ import json
 import pathlib
 
 from repro.core.cache import CacheConfig
+from repro.frontend.tool import INSTRUMENTATIONS
 from repro.service.config import ServiceConfig
 
 
@@ -140,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="patch-site matcher name or expression (default: all)",
     )
     lint.add_argument(
-        "-I", "--instrument", default="counter",
-        choices=("empty", "counter"),
+        "-I", "--instrument", default="counter", choices=INSTRUMENTATIONS,
         help="instrumentation to rewrite with (default: counter)",
     )
     lint.add_argument(

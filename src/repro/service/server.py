@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from repro.core.cache import ArtifactStore
 from repro.errors import ReproError
 from repro.frontend.engine import EngineConfig, RewriteEngine, options_from_dict
+from repro.frontend.tool import INSTRUMENTATIONS
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics
 
@@ -55,7 +56,7 @@ _REASONS = {
 }
 
 #: Instrumentation specs accepted over the wire (callables are not).
-_INSTRUMENTATIONS = (None, "empty", "counter")
+_INSTRUMENTATIONS = (None, *INSTRUMENTATIONS)
 
 
 class _BadRequest(Exception):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.facts import UNKNOWN_FACTS, facts_for, is_endbr64
 from repro.analysis.lint import lint_context
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.tactics import is_endbr64_insn
 from repro.core.trampoline import Empty
@@ -80,12 +80,13 @@ class TestSyntheticCetBinaries:
     def test_cet_mode_auto_detected(self):
         binary = cet_binary()
         elf = ElfFile(binary.data)
-        rw = Rewriter(elf, disassemble_text(elf),
-                      RewriteOptions(mode="loader"))
-        assert rw.context.cet is True
-        forced = Rewriter(elf, disassemble_text(elf),
-                          RewriteOptions(mode="loader", cet=False))
-        assert forced.context.cet is False
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=disassemble_text(elf))
+        assert ctx.cet is True
+        forced = RewriteContext(elf=elf,
+                                options=RewriteOptions(mode="loader", cet=False),
+                                instructions=disassemble_text(elf))
+        assert forced.cet is False
 
 
 def rewrite_endbr_sites(binary, *, cet: bool | None):
@@ -95,18 +96,18 @@ def rewrite_endbr_sites(binary, *, cet: bool | None):
     instructions = disassemble_text(elf)
     sites = [i for i in instructions if is_endbr64_insn(i)]
     assert sites
-    rw = Rewriter(elf, instructions, RewriteOptions(
+    ctx = RewriteContext(elf=elf, instructions=instructions, options=RewriteOptions(
         mode="loader", cet=cet,
         toggles=TacticToggles(b0_fallback=True)))
-    result = rw.rewrite(
+    result = ctx.rewrite(
         [PatchRequest(insn=i, instrumentation=Empty()) for i in sites])
-    return rw, result, [i.address for i in sites]
+    return ctx, result, [i.address for i in sites]
 
 
 class TestTacticRefusals:
     def test_cet_mode_refuses_to_clobber_landing_pads(self):
         binary = cet_binary()
-        rw, result, sites = rewrite_endbr_sites(binary, cet=None)
+        ctx, result, sites = rewrite_endbr_sites(binary, cet=None)
         assert set(sites) <= set(result.plan.failures)
         out = ElfFile(result.data)
         for site in sites:
@@ -129,18 +130,19 @@ class TestTacticRefusals:
         jumps = [i for i in instructions
                  if match_jumps(i) and not is_endbr64_insn(i)]
         for cet in (True, False):
-            rw = Rewriter(elf, disassemble_text(elf),
-                          RewriteOptions(mode="loader", cet=cet))
-            result = rw.rewrite([PatchRequest(insn=i, instrumentation=Empty())
-                                 for i in jumps])
+            ctx = RewriteContext(elf=elf,
+                                 options=RewriteOptions(mode="loader", cet=cet),
+                                 instructions=disassemble_text(elf))
+            result = ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                                  for i in jumps])
             assert result.stats.success_pct == 100.0
 
 
 class TestLintEscalation:
     def test_clobber_warns_without_cet(self):
         binary = cet_binary()
-        rw, _, _ = rewrite_endbr_sites(binary, cet=False)
-        report = lint_context(rw.context)
+        ctx, _, _ = rewrite_endbr_sites(binary, cet=False)
+        report = lint_context(ctx)
         endbr = [f for f in report.findings if f.check == "endbr"]
         assert endbr
         assert all(f.severity == "warn" for f in endbr)
@@ -150,9 +152,9 @@ class TestLintEscalation:
         """Same damaged rewrite, CET semantics applied: every endbr
         finding escalates to error and the report fails."""
         binary = cet_binary()
-        rw, _, _ = rewrite_endbr_sites(binary, cet=False)
-        rw.context.cet = True
-        report = lint_context(rw.context)
+        ctx, _, _ = rewrite_endbr_sites(binary, cet=False)
+        ctx.cet = True
+        report = lint_context(ctx)
         endbr = [f for f in report.findings if f.check == "endbr"]
         assert endbr
         assert all(f.severity == "error" for f in endbr)
@@ -163,10 +165,11 @@ class TestLintEscalation:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         jumps = [i for i in instructions if match_jumps(i)]
-        rw = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-        rw.rewrite([PatchRequest(insn=i, instrumentation=Empty())
-                    for i in jumps])
-        assert rw.context.cet is True
-        report = lint_context(rw.context)
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=instructions)
+        ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                     for i in jumps])
+        assert ctx.cet is True
+        report = lint_context(ctx)
         assert not [f for f in report.findings if f.check == "endbr"]
         assert report.ok

@@ -1,14 +1,14 @@
 """Rewrite-plan linter: clean rewrites pass, corrupted artifacts and the
 injected displacement miscompile are caught statically."""
 
+import json
 import random
 
 import pytest
 
 from repro.analysis.lint import LintError, lint_context
 from repro.check.campaign import _draw_params, synthesize
-from repro.core.pipeline import RewriteOptions
-from repro.core.rewriter import Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.tactics import Tactic
 from repro.core.trampoline import Empty
@@ -16,6 +16,7 @@ from repro.elf.builder import TinyProgram
 from repro.elf.reader import ElfFile
 from repro.frontend.lineardisasm import disassemble_text
 from repro.frontend.tool import instrument_elf
+from repro.service.cli import main as repro_main
 
 
 def synthetic_binary(seed: int = 7, profile: str = "bzip2") -> bytes:
@@ -28,12 +29,12 @@ def rewrite_jumps(data: bytes, *, toggles: TacticToggles | None = None,
     elf = ElfFile(data)
     instructions = disassemble_text(elf)
     sites = [i for i in instructions if i.mnemonic.startswith("j")][:limit]
-    rw = Rewriter(elf, instructions,
-                  RewriteOptions(mode="loader",
-                                 toggles=toggles or TacticToggles()))
-    rw.rewrite([PatchRequest(insn=i, instrumentation=Empty())
-                for i in sites])
-    return rw.context
+    ctx = RewriteContext(elf=elf, instructions=instructions,
+                         options=RewriteOptions(
+                             mode="loader", toggles=toggles or TacticToggles()))
+    ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                 for i in sites])
+    return ctx
 
 
 def file_offset(ctx, vaddr: int) -> int:
@@ -150,10 +151,37 @@ class TestEndbrWarning:
         # cet=False forced: auto-detection would see the endbr64 and
         # refuse the patch outright (tests/analysis/test_cet.py covers
         # that); this test pins the non-CET warn-only path.
-        rw = Rewriter(elf, instructions,
-                      RewriteOptions(mode="loader", cet=False))
-        rw.rewrite([PatchRequest(insn=site, instrumentation=Empty())])
-        report = lint_context(rw.context)
+        ctx = RewriteContext(elf=elf,
+                             options=RewriteOptions(mode="loader", cet=False),
+                             instructions=instructions)
+        ctx.rewrite([PatchRequest(insn=site, instrumentation=Empty())])
+        report = lint_context(ctx)
         assert report.ok  # warnings do not fail the gate
         assert any(f.check == "endbr" and f.severity == "warn"
                    for f in report.warnings)
+
+
+class TestLintCli:
+    """``repro lint``: named matchers and expressions, JSON reports."""
+
+    def test_expression_matcher(self, tmp_path, capsys):
+        path = tmp_path / "in.elf"
+        path.write_bytes(synthetic_binary())
+        rc = repro_main(["lint", "-M", 'mnemonic == "call"', str(path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"{path}: ok (" in out
+        assert " sites, " in out
+
+    def test_json_report(self, tmp_path):
+        path = tmp_path / "in.elf"
+        path.write_bytes(synthetic_binary())
+        report = tmp_path / "lint.json"
+        rc = repro_main(["lint", "-q", "-M", "jumps", "--json", str(report),
+                         str(path)])
+        assert rc == 0
+        payload = json.loads(report.read_text())
+        assert payload["schema"] == "repro-lint/1"
+        entry = payload["inputs"][str(path)]
+        assert entry["ok"] is True
+        assert entry["sites_checked"] > 0

@@ -16,7 +16,7 @@ from repro.check import (
 )
 from repro.check.campaign import options_from_dict, options_to_dict
 from repro.core.observe import Observer
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
 from repro.synth.generator import SynthesisParams
 

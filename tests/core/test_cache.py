@@ -1,7 +1,10 @@
 """ArtifactStore: round trips, corruption handling, LRU eviction."""
 
+import importlib
 import os
 import pathlib
+
+import pytest
 
 from repro.core.cache import (
     CACHE_DIR_ENV,
@@ -39,17 +42,20 @@ def test_fingerprint_is_stable_hex():
     int(fp, 16)
 
 
-def test_fingerprint_covers_fastscan(tmp_path, monkeypatch):
-    """fastscan computes a cached stream's start offsets and the
-    candidate bits that prune named-matcher sites, so editing it alone
-    must retire every decode and match entry."""
-    import repro.x86.fastscan as fastscan
-
+@pytest.mark.parametrize("name", [
+    "repro.x86.fastscan",  # a stream's start offsets and candidate bits
+    "repro.x86.flow",  # is_heap_write: the heap-writes matcher's sites
+    "repro.elf.symbols",  # function ranges: the symbols frontend's extents
+])
+def test_fingerprint_covers_module(name, tmp_path, monkeypatch):
+    """Each of these modules decides what a stored decode or match entry
+    means, so editing it alone must retire every entry."""
+    module = importlib.import_module(name)
     before = compute_toolchain_fingerprint()
-    edited = tmp_path / "fastscan.py"
+    edited = tmp_path / "edited.py"
     edited.write_bytes(
-        pathlib.Path(fastscan.__file__).read_bytes() + b"\n# edited\n")
-    monkeypatch.setattr(fastscan, "__file__", str(edited))
+        pathlib.Path(module.__file__).read_bytes() + b"\n# edited\n")
+    monkeypatch.setattr(module, "__file__", str(edited))
     assert compute_toolchain_fingerprint() != before
 
 

@@ -12,15 +12,14 @@ from repro.core.pipeline import (
     MatchPass,
     PlanPass,
     RewriteContext,
+    RewriteOptions,
     VerifyPass,
-    run_pipeline,
-    standard_passes,
 )
-from repro.core.rewriter import RewriteOptions, Rewriter
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.trampoline import Empty
 from repro.elf.reader import ElfFile
 from repro.errors import PatchError
+from repro.frontend.lineardisasm import disassemble_text
 from repro.frontend.matchers import match_jumps
 from repro.frontend.tool import (
     RewriteConfig,
@@ -82,32 +81,25 @@ class TestObserver:
 
 
 class TestExplicitPipeline:
-    """Running the passes by hand matches the Rewriter facade."""
+    """Running the passes by hand matches ``instrument_elf``."""
 
     def test_standard_passes_match_facade(self):
         data = small_binary()
         ctx = RewriteContext(elf=ElfFile(data),
                              options=RewriteOptions(mode="loader"))
-        requests_built = []
 
         # Decode and match explicitly, then build requests between passes.
         DecodePass().run(ctx)
         MatchPass(match_jumps).run(ctx)
         ctx.requests = [PatchRequest(insn=i, instrumentation=Empty())
                         for i in ctx.sites]
-        run_pipeline(ctx, [PlanPass(), GroupPass(), EmitPass()])
+        for p in (PlanPass(), GroupPass(), EmitPass()):
+            p.run(ctx)
         result = ctx.result()
 
-        facade = instrument_elf(data, "jumps",
+        report = instrument_elf(data, "jumps",
                                 options=RewriteOptions(mode="loader"))
-        assert result.data == facade.result.data
-        assert not requests_built  # silence lint: local list unused
-
-    def test_standard_passes_helper_names(self):
-        passes = standard_passes(match_jumps, verify=True)
-        assert [p.name for p in passes] == [
-            "decode", "match", "plan", "group", "emit", "verify"
-        ]
+        assert result.data == report.result.data
 
     def test_plan_pass_without_requests_rejected(self):
         data = small_binary()
@@ -153,19 +145,16 @@ class TestVerifyPass:
     def test_verify_detects_clobbered_site(self):
         data = small_binary()
         elf = ElfFile(data)
-        rw = Rewriter(elf, __import__("repro.frontend.lineardisasm",
-                                      fromlist=["disassemble_text"])
-                      .disassemble_text(elf),
-                      RewriteOptions(mode="loader"))
-        sites = [i for i in rw.instructions if match_jumps(i)]
-        plan = rw.plan([PatchRequest(insn=i, instrumentation=Empty())
-                        for i in sites])
-        rw.emit(plan)
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=disassemble_text(elf))
+        sites = [i for i in ctx.instructions if match_jumps(i)]
+        ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                     for i in sites])
         # Corrupt one patched site after the fact: verification must notice.
-        site = plan.patches[0].site
-        rw.image.write_unchecked(site, b"\x90" * 2)
+        site = ctx.plan.patches[0].site
+        ctx.image.write_unchecked(site, b"\x90" * 2)
         with pytest.raises(PatchError, match="verify"):
-            VerifyPass().run(rw.context)
+            VerifyPass().run(ctx)
 
 
 class TestBatchApi:
@@ -272,8 +261,6 @@ class TestStreamDecode:
     identical to the legacy eager-list path, bytes out included."""
 
     def test_stream_and_list_rewrites_byte_identical(self):
-        from repro.frontend.lineardisasm import disassemble_text
-
         data = small_binary(seed=23, n_jump_sites=40)
         stream_report = instrument_elf(
             data, "jumps", options=RewriteOptions(mode="loader"))

@@ -7,7 +7,7 @@ whatever ASLR placed nearby; (2) dynamic loaders derive the total map
 span from the first/last PT_LOAD, so entries must be vaddr-sorted.
 """
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.elf import constants as elfc
 from repro.elf.reader import ElfFile
 from repro.frontend.tool import instrument_elf

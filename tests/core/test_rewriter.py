@@ -1,8 +1,9 @@
-"""Rewriter end-to-end: options, emission modes, stats, failure modes."""
+"""RewriteContext.rewrite end to end: options, emission modes, stats,
+failure modes."""
 
 import pytest
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Counter, Empty
 from repro.elf import constants as elfc
@@ -45,9 +46,9 @@ def rewrite(data: bytes, options: RewriteOptions, instr=None):
     elf = ElfFile(data)
     insns = disassemble_text(elf)
     sites = [i for i in insns if match_jumps(i)]
-    rw = Rewriter(elf, insns, options)
-    return rw.rewrite([PatchRequest(insn=i, instrumentation=instr or Empty())
-                       for i in sites])
+    ctx = RewriteContext(elf=elf, options=options, instructions=insns)
+    return ctx.rewrite([PatchRequest(insn=i, instrumentation=instr or Empty())
+                        for i in sites])
 
 
 class TestModes:
@@ -117,9 +118,10 @@ class TestStatsAndSize:
         counter_vaddr = 0x900000
         insns = disassemble_text(elf)
         sites = [i for i in insns if match_jumps(i)]
-        rw = Rewriter(elf, insns, RewriteOptions(mode="loader"))
-        rw.space.reserve(counter_vaddr, counter_vaddr + 0x1000)
-        result = rw.rewrite(
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=insns)
+        ctx.space.reserve(counter_vaddr, counter_vaddr + 0x1000)
+        result = ctx.rewrite(
             [PatchRequest(insn=i, instrumentation=Counter(counter_vaddr))
              for i in sites]
         )
@@ -139,17 +141,19 @@ class TestRuntimeCode:
         data = looping_program()
         elf = ElfFile(data)
         insns = disassemble_text(elf)
-        rw = Rewriter(elf, insns, RewriteOptions(mode="loader"))
-        vaddr = rw.add_runtime_code(lambda v: b"\xc3" * 16, 16)
-        result = rw.rewrite([])
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=insns)
+        vaddr = ctx.add_runtime_code(lambda v: b"\xc3" * 16, 16)
+        result = ctx.rewrite([])
         assert any(t.vaddr == vaddr for t in result.trampolines)
 
     def test_runtime_code_size_mismatch_rejected(self):
         data = looping_program()
         elf = ElfFile(data)
-        rw = Rewriter(elf, disassemble_text(elf))
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(),
+                             instructions=disassemble_text(elf))
         with pytest.raises(PatchError):
-            rw.add_runtime_code(lambda v: b"\xc3", 16)
+            ctx.add_runtime_code(lambda v: b"\xc3", 16)
 
 
 class TestErrorPaths:
@@ -166,39 +170,43 @@ class TestErrorPaths:
         elf.ehdr.phnum = 0xFFFF
         insns = disassemble_text(elf)
         sites = [i for i in insns if match_jumps(i)]
-        rw = Rewriter(elf, insns, RewriteOptions(mode="phdr"))
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="phdr"),
+                             instructions=insns)
         with pytest.raises(PatchError, match="too many segments"):
-            rw.rewrite([PatchRequest(insn=i, instrumentation=Empty())
-                        for i in sites])
+            ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                         for i in sites])
 
     def test_phdr_negative_pie_offset_rejected(self):
         data = looping_program(pie=True)
         elf = ElfFile(data)
-        rw = Rewriter(elf, disassemble_text(elf), RewriteOptions(mode="phdr"))
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="phdr"),
+                             instructions=disassemble_text(elf))
         # Exhaust the non-negative range so the next allocation must land
         # at a negative PIE link-time offset.
-        rw.space.reserve(0, rw.space.hi_bound)
-        vaddr = rw.add_runtime_code(lambda v: b"\xc3" * 16, 16)
+        ctx.space.reserve(0, ctx.space.hi_bound)
+        vaddr = ctx.add_runtime_code(lambda v: b"\xc3" * 16, 16)
         assert vaddr < 0
         with pytest.raises(PatchError, match="negative PIE"):
-            rw.rewrite([])
+            ctx.rewrite([])
 
     def test_runtime_code_size_mismatch_message(self):
         data = looping_program()
         elf = ElfFile(data)
-        rw = Rewriter(elf, disassemble_text(elf))
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(),
+                             instructions=disassemble_text(elf))
         with pytest.raises(PatchError, match=r"size 1 != reserved 16"):
-            rw.add_runtime_code(lambda v: b"\xc3", 16)
+            ctx.add_runtime_code(lambda v: b"\xc3", 16)
         # The failed registration must not leave a half-added trampoline.
-        assert rw.context.runtime == []
+        assert ctx.runtime == []
 
 
 class TestEdgeCases:
     def test_no_sites_returns_original(self):
         data = hello_world()
         elf = ElfFile(data)
-        rw = Rewriter(elf, disassemble_text(elf))
-        result = rw.rewrite([])
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(),
+                             instructions=disassemble_text(elf))
+        result = ctx.rewrite([])
         assert result.data == data
 
     def test_no_exec_segment_rejected(self):
@@ -208,4 +216,4 @@ class TestEdgeCases:
         for p in elf.phdrs:
             p.flags &= ~elfc.PF_X
         with pytest.raises(PatchError):
-            Rewriter(elf, [])
+            RewriteContext(elf=elf, options=RewriteOptions(), instructions=[])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.core.templates import (
     BUILTIN_TEMPLATES,
@@ -124,10 +124,11 @@ class TestEndToEnd:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         sites = [i for i in instructions if match_jumps(i)]
-        rw = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-        counter = rw.add_runtime_data(4096)
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=instructions)
+        counter = ctx.add_runtime_data(4096)
         instr = BUILTIN_TEMPLATES["counter"].instantiate(counter=counter)
-        result = rw.rewrite(
+        result = ctx.rewrite(
             [PatchRequest(insn=i, instrumentation=instr) for i in sites])
         machine = Machine(result.data)
         run = machine.run()
@@ -153,9 +154,10 @@ class TestEndToEnd:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         sites = [i for i in instructions if match_jumps(i)][:1]
-        rw = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-        flag = rw.add_runtime_data(4096)
-        result = rw.rewrite(
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=instructions)
+        flag = ctx.add_runtime_data(4096)
+        result = ctx.rewrite(
             [PatchRequest(insn=sites[0],
                           instrumentation=template.instantiate(flag=flag))])
         machine = Machine(result.data)

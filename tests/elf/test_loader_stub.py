@@ -1,6 +1,6 @@
 """The injected loader stub: correct mappings, register transparency."""
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Empty
 from repro.elf.builder import hello_world
@@ -44,8 +44,9 @@ def _patched_hello(**opt):
     # hello_world has no jumps; patch the first mov instead so a
     # trampoline (and hence loader mappings) exist.
     site = insns[0]
-    rw = Rewriter(elf, insns, RewriteOptions(mode="loader", **opt))
-    return data, rw.rewrite([PatchRequest(insn=site, instrumentation=Empty())])
+    ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader", **opt),
+                         instructions=insns)
+    return data, ctx.rewrite([PatchRequest(insn=site, instrumentation=Empty())])
 
 
 class TestStubExecution:

@@ -84,3 +84,22 @@ class TestStatsJson:
         parts = (stats["base_pct"] + stats["t1_pct"]
                  + stats["t2_pct"] + stats["t3_pct"])
         assert abs(parts - stats["succ_pct"]) < 0.01
+
+
+class TestCliErrors:
+    """Typed failures end in ``error: ...`` and exit 1, not a traceback."""
+
+    def test_bad_match_expression(self, tmp_path, capsys):
+        src, _ = make_input(tmp_path)
+        rc = main([str(src), str(tmp_path / "out.elf"),
+                   "-M", "mnemonic == "])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out.elf").exists()
+
+    def test_non_elf_input(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"not an ELF file" * 8)
+        rc = main([str(src), str(tmp_path / "out.elf")])
+        assert rc == 1
+        assert "bad ELF magic" in capsys.readouterr().err

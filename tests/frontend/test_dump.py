@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.frontend.dump import dump_lines, main, resolve_matcher, summarize
+from repro.frontend.dump import dump_lines, main, summarize
+from repro.frontend.matchers import resolve_matcher
 from repro.synth.generator import SynthesisParams, synthesize
 from tests.conftest import requires_gcc
 

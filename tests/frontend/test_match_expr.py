@@ -140,7 +140,7 @@ class TestEvaluation:
 
 class TestIntegration:
     def test_expression_in_instrument_elf(self):
-        from repro.core.rewriter import RewriteOptions
+        from repro.core.pipeline import RewriteOptions
         from repro.frontend.tool import instrument_elf
         from repro.synth.generator import SynthesisParams, synthesize
         from repro.vm.machine import run_elf

@@ -4,7 +4,7 @@ import json
 
 from repro.core.cache import ArtifactStore
 from repro.core.observe import Observer
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import main, prepare_binary, rewrite_many
 from repro.synth.generator import SynthesisParams, synthesize
 

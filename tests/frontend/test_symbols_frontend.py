@@ -7,7 +7,7 @@ from repro.elf.symbols import function_ranges, function_symbols
 from repro.errors import ElfError
 from repro.frontend.lineardisasm import disassemble_functions, disassemble_text
 from repro.frontend.tool import instrument_elf
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.synth.generator import SynthesisParams, synthesize
 from tests.conftest import requires_gcc
 

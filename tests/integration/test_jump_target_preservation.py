@@ -10,7 +10,7 @@ original instruction's semantics.
 """
 
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.tactics import Tactic
 from repro.core.trampoline import Counter, Empty
@@ -84,12 +84,12 @@ def patch_site(image: bytes, site_vaddr: int, *, toggles=None,
     elf = ElfFile(image)
     instructions = disassemble_text(elf)
     site = next(i for i in instructions if i.address == site_vaddr)
-    rw = Rewriter(elf, instructions,
-                  RewriteOptions(mode="loader",
-                                 toggles=toggles or TacticToggles()))
-    counter_vaddr = rw.add_runtime_data(4096) if counter else None
+    ctx = RewriteContext(elf=elf, instructions=instructions,
+                         options=RewriteOptions(
+                             mode="loader", toggles=toggles or TacticToggles()))
+    counter_vaddr = ctx.add_runtime_data(4096) if counter else None
     instr = Counter(counter_vaddr) if counter else (instrumentation or Empty())
-    result = rw.rewrite([PatchRequest(insn=site, instrumentation=instr)])
+    result = ctx.rewrite([PatchRequest(insn=site, instrumentation=instr)])
     return result, counter_vaddr
 
 

@@ -8,7 +8,7 @@ L3: patching everything causes inter-patch interference.
 
 from repro.core.allocator import AddressSpace
 from repro.core.binary import CodeImage
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import PatchRequest, patch_all
 from repro.core.tactics import Tactic, TacticContext
 from repro.core.trampoline import Empty

@@ -3,7 +3,7 @@ and execute them on the host CPU."""
 
 import pytest
 
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.tool import instrument_elf
 from repro.synth.generator import SynthesisParams, synthesize
 from tests.conftest import corpus_variant, requires_native, requires_toolchain

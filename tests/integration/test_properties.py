@@ -8,7 +8,7 @@ original values.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import PlanPass, RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.core.tactics import Tactic
 from repro.core.trampoline import Counter, Empty
@@ -48,8 +48,9 @@ class TestBehaviourPreservation:
         instructions = disassemble_text(elf)
         matcher = match_jumps if matcher_name == "jumps" else match_heap_writes
         sites = [i for i in instructions if matcher(i)]
-        rw = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-        result = rw.rewrite(
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=instructions)
+        result = ctx.rewrite(
             [PatchRequest(insn=i, instrumentation=Empty()) for i in sites])
         patched = run_elf(result.data)
         assert patched.observable == orig.observable
@@ -66,14 +67,16 @@ class TestStructuralInvariants:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         sites = [i for i in instructions if match_jumps(i)]
-        rw = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-        plan = rw.plan(
-            [PatchRequest(insn=i, instrumentation=Empty()) for i in sites])
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=instructions)
+        PlanPass([PatchRequest(insn=i, instrumentation=Empty())
+                  for i in sites]).run(ctx)
+        plan = ctx.plan
 
         for patch in plan.patches:
             if patch.tactic == Tactic.B0:
                 continue
-            raw = rw.image.read(patch.site, 15)
+            raw = ctx.image.read(patch.site, 15)
             insn = decode(raw, 0, address=patch.site)
             assert insn.mnemonic == "jmp", patch.tactic
             target = insn.target
@@ -81,7 +84,7 @@ class TestStructuralInvariants:
             if target not in tramp_addrs:
                 # T3 short hop: one more jump through J_patch.
                 assert patch.tactic == Tactic.T3
-                hop = decode(rw.image.read(target, 15), 0, address=target)
+                hop = decode(ctx.image.read(target, 15), 0, address=target)
                 assert hop.mnemonic == "jmp"
                 assert hop.target in tramp_addrs
 
@@ -93,11 +96,15 @@ class TestStructuralInvariants:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         sites = [i for i in instructions if match_jumps(i)]
-        rw = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=instructions)
         original = {r.base: bytes(r.data) for r in
-                    Rewriter(ElfFile(binary.data), instructions).image.ranges}
-        rw.plan([PatchRequest(insn=i, instrumentation=Empty()) for i in sites])
-        for r in rw.image.ranges:
+                    RewriteContext(elf=ElfFile(binary.data),
+                                   options=RewriteOptions(),
+                                   instructions=instructions).image.ranges}
+        PlanPass([PatchRequest(insn=i, instrumentation=Empty())
+                  for i in sites]).run(ctx)
+        for r in ctx.image.ranges:
             orig = original[r.base]
             for i in range(len(r.data)):
                 if r.locks.state(r.base + i) == 2:  # PUNNED
@@ -110,9 +117,11 @@ class TestStructuralInvariants:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         sites = [i for i in instructions if match_jumps(i)]
-        rw = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-        plan = rw.plan(
-            [PatchRequest(insn=i, instrumentation=Empty()) for i in sites])
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=instructions)
+        PlanPass([PatchRequest(insn=i, instrumentation=Empty())
+                  for i in sites]).run(ctx)
+        plan = ctx.plan
         extents = sorted(
             (t.vaddr, t.end) for p in plan.patches for t in p.trampolines)
         for (a_lo, a_hi), (b_lo, b_hi) in zip(extents, extents[1:]):
@@ -147,9 +156,10 @@ class TestInstrumentationTransparency:
         instructions = disassemble_text(elf)
         sites = [i for i in instructions if match_jumps(i)]
         assert len(sites) == 1
-        rw = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
-        counter = rw.add_runtime_data(4096)
-        result = rw.rewrite(
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=instructions)
+        counter = ctx.add_runtime_data(4096)
+        result = ctx.rewrite(
             [PatchRequest(insn=sites[0], instrumentation=Counter(counter))])
         assert run_elf(result.data).exit_code == 0
 
@@ -177,7 +187,8 @@ class TestInstrumentationTransparency:
         elf = ElfFile(image)
         instructions = disassemble_text(elf)
         site = next(i for i in instructions if i.address == site_vaddr)
-        rw = Rewriter(elf, instructions, RewriteOptions(mode="loader"))
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=instructions)
 
         def clobberer(vaddr: int) -> bytes:
             f = enc.Assembler(base=vaddr)
@@ -187,7 +198,7 @@ class TestInstrumentationTransparency:
             f.ret()
             return f.bytes()
 
-        func = rw.add_runtime_code(clobberer, len(clobberer(0)))
-        result = rw.rewrite(
+        func = ctx.add_runtime_code(clobberer, len(clobberer(0)))
+        result = ctx.rewrite(
             [PatchRequest(insn=site, instrumentation=CallFunction(func))])
         assert run_elf(result.data).exit_code == 27

@@ -1,7 +1,7 @@
 """Shared-object rewriting (paper Section 5.1): positive offsets only,
 loader-mode emission, unchanged behaviour."""
 
-from repro.core.rewriter import RewriteOptions, Rewriter
+from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Empty
 from repro.elf.reader import ElfFile
@@ -24,9 +24,10 @@ class TestSharedObjectMode:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         sites = [i for i in instructions if match_jumps(i)]
-        rw = Rewriter(elf, instructions,
-                      RewriteOptions(mode="loader", shared=True))
-        result = rw.rewrite(
+        ctx = RewriteContext(elf=elf,
+                             options=RewriteOptions(mode="loader", shared=True),
+                             instructions=instructions)
+        result = ctx.rewrite(
             [PatchRequest(insn=i, instrumentation=Empty()) for i in sites])
         assert result.trampolines
         assert all(t.vaddr >= 0 for t in result.trampolines)
@@ -36,11 +37,12 @@ class TestSharedObjectMode:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         sites = [i for i in instructions if match_jumps(i)]
-        rw = Rewriter(elf, instructions,
-                      RewriteOptions(mode="loader", shared=False))
-        rw.rewrite([PatchRequest(insn=i, instrumentation=Empty())
-                    for i in sites])
-        assert rw.space.lo_bound < 0  # the paper's doubled window
+        ctx = RewriteContext(elf=elf,
+                             options=RewriteOptions(mode="loader", shared=False),
+                             instructions=instructions)
+        ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                     for i in sites])
+        assert ctx.space.lo_bound < 0  # the paper's doubled window
 
     def test_shared_mode_behaviour_unchanged(self):
         binary = shared_workload()
@@ -48,9 +50,10 @@ class TestSharedObjectMode:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         sites = [i for i in instructions if match_jumps(i)]
-        rw = Rewriter(elf, instructions,
-                      RewriteOptions(mode="loader", shared=True))
-        result = rw.rewrite(
+        ctx = RewriteContext(elf=elf,
+                             options=RewriteOptions(mode="loader", shared=True),
+                             instructions=instructions)
+        result = ctx.rewrite(
             [PatchRequest(insn=i, instrumentation=Empty()) for i in sites])
         assert run_elf(result.data).observable == orig.observable
 
@@ -61,8 +64,9 @@ class TestSharedObjectMode:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         sites = [i for i in instructions if match_jumps(i)]
-        rw = Rewriter(elf, instructions,
-                      RewriteOptions(mode="loader", shared=True))
-        result = rw.rewrite(
+        ctx = RewriteContext(elf=elf,
+                             options=RewriteOptions(mode="loader", shared=True),
+                             instructions=instructions)
+        result = ctx.rewrite(
             [PatchRequest(insn=i, instrumentation=Empty()) for i in sites])
         assert result.stats.success_pct >= 95.0

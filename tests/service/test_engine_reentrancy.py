@@ -9,7 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.core.cache import ArtifactStore, CacheConfig
 from repro.core.observe import Observer
 from repro.core.parallel import ExecutorConfig
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
+from repro.errors import ReproError
 from repro.frontend.engine import EngineConfig, RewriteEngine, options_from_dict
 from repro.frontend.tool import instrument_elf
 
@@ -98,6 +99,18 @@ class TestReentrancy:
             data, matcher='mnemonic == "jmp" and size >= 2',
             options=RewriteOptions(mode="loader"))
         assert report.n_sites > 0
+
+    def test_unknown_instrumentation_rejected_before_decode(self):
+        import pytest
+
+        data = make_binary(seed=3)
+        observer = Observer()
+        with pytest.raises(ReproError, match="'bogus'"):
+            RewriteEngine().rewrite(data, instrumentation="bogus",
+                                    observer=observer)
+        assert observer.runs("decode") == 0
+        with pytest.raises(ReproError, match="'bogus'"):
+            instrument_elf(data, "jumps", "bogus")
 
 
 class TestOptionsFromDict:

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.parallel import ExecutorConfig
-from repro.core.rewriter import RewriteOptions
+from repro.core.pipeline import RewriteOptions
 from repro.frontend.engine import EngineConfig, RewriteEngine
 from repro.frontend.tool import instrument_elf
 from repro.service import ServiceClient, ServiceError

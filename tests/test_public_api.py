@@ -20,10 +20,11 @@ class TestPublicApi:
         from repro.frontend.matchers import match_jumps
 
         sites = [i for i in instructions if match_jumps(i)]
-        rw = repro.Rewriter(elf, instructions,
-                            repro.RewriteOptions(mode="loader"))
-        counter = rw.add_runtime_data(4096)
-        result = rw.rewrite(
+        ctx = repro.RewriteContext(elf=elf,
+                                   options=repro.RewriteOptions(mode="loader"),
+                                   instructions=instructions)
+        counter = ctx.add_runtime_data(4096)
+        result = ctx.rewrite(
             [repro.PatchRequest(insn=i,
                                 instrumentation=repro.Counter(counter))
              for i in sites])
