@@ -10,7 +10,8 @@ schema ``repro-bench/1``).
 ``--large [PROFILE]`` switches to the browser-scale mode instead: it
 decodes a 50-100 MB :class:`~repro.synth.profiles.LargeTextProfile`
 section, requires the stream to be identical to a full
-``decode_reference`` oracle walk, and writes
+``decode_reference`` oracle walk (the reference decoder of
+``tests/x86/reference_decoder.py``), and writes
 ``benchmarks/out/BENCH_large.json`` (CI's scheduled ``bench-large``
 job).
 
@@ -45,7 +46,8 @@ from repro.synth.generator import SynthesisParams, synthesize
 
 N_SITES = 2000
 SCHEMA = "repro-bench/1"
-SRC_ROOT = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC_ROOT = REPO_ROOT / "src" / "repro"
 
 
 def section(title: str, obs: Observer) -> None:
@@ -67,13 +69,24 @@ def count_src_lines() -> int:
                for path in SRC_ROOT.rglob("*.py"))
 
 
+def reference_decoder():
+    """``decode_reference``, the decoder oracle kept under ``tests/x86/``
+    (imported with the repo root on ``sys.path``)."""
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from tests.x86.reference_decoder import decode_reference
+
+    return decode_reference
+
+
 def check_decode_identity(data: bytes, metrics: dict) -> str | None:
     """The fast-path decoder must agree with the reference oracle —
     fields, bytes, and error messages — on every instruction of the
     bench binary (see INTERNALS.md §7)."""
     from repro.errors import DecodeError
-    from repro.x86.decoder import decode, decode_reference
+    from repro.x86.decoder import decode
 
+    decode_reference = reference_decoder()
     checked = mismatches = 0
     offset, n = 0, len(data)
     while offset < n:
@@ -118,8 +131,8 @@ def check_stream_reference_identity(blob, stream, metrics: dict,
     ``DecodeError`` is a 1-byte ``(bad)`` pseudo-instruction.
     """
     from repro.errors import DecodeError
-    from repro.x86.decoder import decode_reference
 
+    decode_reference = reference_decoder()
     starts = stream.start_offsets()
     n = len(blob)
     off = i = mismatches = 0

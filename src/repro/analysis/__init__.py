@@ -2,10 +2,11 @@
 
 Three layers, each feeding the next:
 
-* :mod:`repro.analysis.facts` — a semantic-fact engine: dense
-  precompiled per-opcode tables resolving every decoded instruction to
-  the registers it reads/writes/kills, the flags it uses/defines, and
-  its memory-access class, with an explicit ``known`` bit so every
+* :mod:`repro.analysis.facts` — a semantic-fact engine: the effect
+  templates of the opcode rows (:mod:`repro.x86.tables`), in dense
+  per-map lists, resolving every decoded instruction to the registers
+  it reads/writes/kills, the flags it uses/defines, and its
+  memory-access class, with an explicit ``known`` bit so every
   consumer can stay conservative on gaps;
 * :mod:`repro.analysis.liveness` — conservative backward liveness over
   the fact stream (any unknown control flow = everything live), whose

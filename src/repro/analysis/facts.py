@@ -1,10 +1,11 @@
-"""Semantic facts per instruction, from dense precompiled tables.
+"""Semantic facts per instruction, resolved from the opcode rows.
 
-The rewriter's :mod:`repro.x86.tables` answer layout questions (lengths,
-control flow, "does it write its r/m operand"); this module answers the
+The rows of :mod:`repro.x86.tables` give every opcode's layout and an
+effect template (:class:`~repro.x86.tables.Effects`); this module
+resolves a decoded instruction against its template to answer the
 *semantic* questions the liveness pass and the ``match_expr`` DSL need:
-which registers an instruction reads and writes, which flags it uses and
-defines, and what kind of memory it touches.
+which registers an instruction reads and writes, which flags it uses
+and defines, and what kind of memory it touches.
 
 Facts come in two strengths, and the distinction is what keeps every
 consumer sound:
@@ -19,13 +20,13 @@ consumer sound:
   8/16-bit writes merge and kill nothing).  Liveness may only treat a
   value as dead past a *must* kill.
 
-Unknown instructions (any opcode without a table entry, VEX/EVEX, the
+Unknown instructions (a template with ``known=False``, VEX/EVEX, the
 0F38/0F3A maps) resolve to :data:`UNKNOWN_FACTS`: ``known=False``,
 everything read, nothing killed — the conservative fixpoint.
 
-The tables are dense 256-entry lists indexed by opcode (one per opcode
-map), not dicts: one index per lookup, no hashing, matching the decoder's
-own table style.
+The templates sit in dense lists indexed by opcode (one per opcode
+map), generated at import from the rows: one index per lookup, no
+hashing, the decoder's own table style.
 """
 
 from __future__ import annotations
@@ -33,7 +34,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.x86 import prefixes as pfx
+from repro.x86.flow import is_endbr64
 from repro.x86.insn import Instruction, OperandKind
+from repro.x86.tables import (
+    AF,
+    ALL_FLAGS,
+    CF,
+    DF,
+    Effects,
+    OF,
+    PF,
+    SF,
+    STATUS_FLAGS,
+    UNKNOWN,
+    ZF,
+    legacy_rows,
+)
 
 __all__ = [
     "CF", "PF", "AF", "ZF", "SF", "OF", "DF",
@@ -41,20 +57,6 @@ __all__ = [
     "FLAG_NAMES", "InsnFacts", "UNKNOWN_FACTS",
     "facts_for", "is_endbr64", "flag_mask_names", "reg_mask_names",
 ]
-
-# -- flag bits (one per tracked RFLAGS bit) ---------------------------------
-
-CF = 1 << 0
-PF = 1 << 1
-AF = 1 << 2
-ZF = 1 << 3
-SF = 1 << 4
-OF = 1 << 5
-DF = 1 << 6
-
-#: The six status flags the ALU defines (DF is control, not status).
-STATUS_FLAGS = CF | PF | AF | ZF | SF | OF
-ALL_FLAGS = STATUS_FLAGS | DF
 
 FLAG_NAMES = {CF: "cf", PF: "pf", AF: "af", ZF: "zf", SF: "sf",
               OF: "of", DF: "df"}
@@ -65,11 +67,6 @@ ALL_REGS = 0xFFFF
 
 _RSP = 4
 _RBP = 5
-
-# ALU flag behaviour, shared by many entries.
-_ARITH = STATUS_FLAGS  # add/sub/cmp/neg: all six defined
-_LOGIC = CF | PF | ZF | SF | OF  # and/or/xor/test: AF undefined
-_INCDEC = PF | AF | ZF | SF | OF  # inc/dec: CF preserved
 
 #: Flags read by each condition code (jcc/setcc/cmovcc, cc = opcode & 0xF).
 CC_FLAGS = (
@@ -139,362 +136,19 @@ UNKNOWN_FACTS = InsnFacts(
 )
 
 
-# -- operand-role templates --------------------------------------------------
+# -- the dense template lists -------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Op:
-    """One opcode's operand roles, resolved per instruction by
-    :func:`facts_for`.
-
-    ``rm_*``/``reg_*`` describe the ModRM operands; ``plusr_*`` the
-    register encoded in the opcode's low three bits (push/pop/xchg/
-    mov-imm/bswap); the ``reads``/``writes``/``kills`` masks are implicit
-    registers (``push`` touches ``rsp``, ``mul`` writes ``rdx``...).
-    """
-
-    rm_r: bool = False
-    rm_w: bool = False
-    rm_byte: bool = False  # rm operand is 8-bit regardless of opsize (movzx)
-    reg_r: bool = False
-    reg_w: bool = False
-    plusr_r: bool = False
-    plusr_w: bool = False
-    reads: int = 0
-    writes: int = 0
-    kills: int = 0
-    flags_r: int = 0
-    flags_w: int = 0
-    flags_must: int = 0
-    byte_op: bool = False  # 8-bit operand size (no 66/REX.W sizing)
-    no_mem: bool = False  # mem-form r/m is address-only (lea, multi-byte nop)
-    cc_uses: bool = False  # opcode & 0xF selects a condition code
-    string_op: bool = False  # rep-prefixable rsi/rdi stepper
-    mem_stack: bool = False  # implicit stack access (push/pop/pushf/popf)
-
-
-def _alu(flags_must: int, *, cmp_like: bool = False, uses_cf: bool = False,
-         byte_op: bool = False, direction_rm: bool = True) -> _Op:
-    """Classic two-operand ALU template (00-3B block layout)."""
-    return _Op(
-        rm_r=True, rm_w=direction_rm and not cmp_like,
-        reg_r=True, reg_w=not direction_rm and not cmp_like,
-        flags_r=CF if uses_cf else 0,
-        flags_w=STATUS_FLAGS, flags_must=flags_must,
-        byte_op=byte_op,
-    )
-
-
-def _bit(reg: int) -> int:
-    return 1 << reg
-
-
-_B = _bit  # local shorthand for table construction
-
-# -- one-byte opcode map -----------------------------------------------------
-
-_ONE: list[object | None] = [None] * 256
-_TWO: list[object | None] = [None] * 256
-
-
-def _fill(table: list, spec: dict) -> None:
-    for opcodes, entry in spec.items():
-        if isinstance(opcodes, int):
-            opcodes = (opcodes,)
-        for op in opcodes:
-            table[op] = entry
-
-
-# The 00-3B two-operand ALU block: each group of four direction/size
-# variants shares flag behaviour; 04/05-style AL/eAX-immediate forms are
-# implicit-register ops.
-for base, must, cf_in in (
-    (0x00, _ARITH, False),  # add
-    (0x08, _LOGIC, False),  # or
-    (0x10, _ARITH, True),   # adc
-    (0x18, _ARITH, True),   # sbb
-    (0x20, _LOGIC, False),  # and
-    (0x28, _ARITH, False),  # sub
-    (0x30, _LOGIC, False),  # xor
-    (0x38, _ARITH, False),  # cmp
-):
-    cmp_like = base == 0x38
-    _ONE[base + 0] = _alu(must, cmp_like=cmp_like, uses_cf=cf_in,
-                          byte_op=True)
-    _ONE[base + 1] = _alu(must, cmp_like=cmp_like, uses_cf=cf_in)
-    _ONE[base + 2] = _alu(must, cmp_like=cmp_like, uses_cf=cf_in,
-                          byte_op=True, direction_rm=False)
-    _ONE[base + 3] = _alu(must, cmp_like=cmp_like, uses_cf=cf_in,
-                          direction_rm=False)
-    # AL, imm8 / eAX, imm32
-    ax_w = 0 if cmp_like else _B(0)
-    _ONE[base + 4] = _Op(reads=_B(0), writes=ax_w,
-                         flags_r=CF if cf_in else 0,
-                         flags_w=STATUS_FLAGS, flags_must=must, byte_op=True)
-    _ONE[base + 5] = _Op(reads=_B(0), writes=ax_w, kills=ax_w,
-                         flags_r=CF if cf_in else 0,
-                         flags_w=STATUS_FLAGS, flags_must=must)
-
-_PUSH_R = _Op(plusr_r=True, reads=_B(_RSP), writes=_B(_RSP), kills=_B(_RSP),
-              mem_stack=True)
-_POP_R = _Op(plusr_w=True, reads=_B(_RSP), writes=_B(_RSP), kills=_B(_RSP),
-             mem_stack=True)
-
-# grp2 shifts/rotates: a zero count changes nothing, so every flag is
-# may-written and none must-defined; rcl/rcr additionally read CF.
-_SHIFT = _Op(rm_r=True, rm_w=True, flags_r=CF, flags_w=STATUS_FLAGS)
-_SHIFT8 = _Op(rm_r=True, rm_w=True, flags_r=CF, flags_w=STATUS_FLAGS,
-              byte_op=True)
-_SHIFT_CL = _Op(rm_r=True, rm_w=True, reads=_B(1), flags_r=CF,
-                flags_w=STATUS_FLAGS)
-_SHIFT8_CL = _Op(rm_r=True, rm_w=True, reads=_B(1), flags_r=CF,
-                 flags_w=STATUS_FLAGS, byte_op=True)
-
-_STRING = {
-    # movs: [rsi] -> [rdi], step both
-    0xA4: _Op(reads=_B(6) | _B(7), writes=_B(6) | _B(7), flags_r=DF,
-              byte_op=True, string_op=True),
-    0xA5: _Op(reads=_B(6) | _B(7), writes=_B(6) | _B(7), flags_r=DF,
-              string_op=True),
-    # cmps: compare [rsi], [rdi]
-    0xA6: _Op(reads=_B(6) | _B(7), writes=_B(6) | _B(7), flags_r=DF,
-              flags_w=STATUS_FLAGS, flags_must=_ARITH, byte_op=True,
-              string_op=True),
-    0xA7: _Op(reads=_B(6) | _B(7), writes=_B(6) | _B(7), flags_r=DF,
-              flags_w=STATUS_FLAGS, flags_must=_ARITH, string_op=True),
-    # stos: al/eax/rax -> [rdi]
-    0xAA: _Op(reads=_B(0) | _B(7), writes=_B(7), flags_r=DF, byte_op=True,
-              string_op=True),
-    0xAB: _Op(reads=_B(0) | _B(7), writes=_B(7), flags_r=DF, string_op=True),
-    # lods: [rsi] -> al/eax/rax
-    0xAC: _Op(reads=_B(6), writes=_B(0) | _B(6), flags_r=DF, byte_op=True,
-              string_op=True),
-    0xAD: _Op(reads=_B(6), writes=_B(0) | _B(6), flags_r=DF, string_op=True),
-    # scas: compare al/eax/rax with [rdi]
-    0xAE: _Op(reads=_B(0) | _B(7), writes=_B(7), flags_r=DF,
-              flags_w=STATUS_FLAGS, flags_must=_ARITH, byte_op=True,
-              string_op=True),
-    0xAF: _Op(reads=_B(0) | _B(7), writes=_B(7), flags_r=DF,
-              flags_w=STATUS_FLAGS, flags_must=_ARITH, string_op=True),
-}
-
-_fill(_ONE, {
-    tuple(range(0x50, 0x58)): _PUSH_R,
-    tuple(range(0x58, 0x60)): _POP_R,
-    0x63: _Op(rm_r=True, reg_w=True),  # movsxd (32-bit source read)
-    0x68: _Op(reads=_B(_RSP), writes=_B(_RSP), kills=_B(_RSP),
-              mem_stack=True),  # push imm32
-    0x69: _Op(rm_r=True, reg_w=True, flags_w=STATUS_FLAGS,
-              flags_must=CF | OF),  # imul r, rm, imm32
-    0x6A: _Op(reads=_B(_RSP), writes=_B(_RSP), kills=_B(_RSP),
-              mem_stack=True),  # push imm8
-    0x6B: _Op(rm_r=True, reg_w=True, flags_w=STATUS_FLAGS,
-              flags_must=CF | OF),  # imul r, rm, imm8
-    tuple(range(0x70, 0x80)): _Op(cc_uses=True),  # jcc rel8
-    # grp1 (80=byte, 81/83=word): /7 is cmp (no write); adc/sbb read CF
-    0x80: tuple(
-        _Op(rm_r=True, rm_w=(sel != 7),
-            flags_r=CF if sel in (2, 3) else 0,
-            flags_w=STATUS_FLAGS,
-            flags_must=_LOGIC if sel in (1, 4, 6) else _ARITH,
-            byte_op=True)
-        for sel in range(8)
-    ),
-    (0x81, 0x83): tuple(
-        _Op(rm_r=True, rm_w=(sel != 7),
-            flags_r=CF if sel in (2, 3) else 0,
-            flags_w=STATUS_FLAGS,
-            flags_must=_LOGIC if sel in (1, 4, 6) else _ARITH)
-        for sel in range(8)
-    ),
-    0x84: _Op(rm_r=True, reg_r=True, flags_w=STATUS_FLAGS,
-              flags_must=_LOGIC, byte_op=True),  # test rm8, r8
-    0x85: _Op(rm_r=True, reg_r=True, flags_w=STATUS_FLAGS,
-              flags_must=_LOGIC),  # test rm, r
-    0x86: _Op(rm_r=True, rm_w=True, reg_r=True, reg_w=True,
-              byte_op=True),  # xchg rm8, r8
-    0x87: _Op(rm_r=True, rm_w=True, reg_r=True, reg_w=True),  # xchg rm, r
-    0x88: _Op(rm_w=True, reg_r=True, byte_op=True),  # mov rm8, r8
-    0x89: _Op(rm_w=True, reg_r=True),  # mov rm, r
-    0x8A: _Op(rm_r=True, reg_w=True, byte_op=True),  # mov r8, rm8
-    0x8B: _Op(rm_r=True, reg_w=True),  # mov r, rm
-    0x8D: _Op(reg_w=True, no_mem=True),  # lea
-    0x8F: (_Op(rm_w=True, reads=_B(_RSP), writes=_B(_RSP), kills=_B(_RSP),
-               mem_stack=True),) + (None,) * 7,  # pop rm (/0)
-    0x90: _Op(),  # nop (xchg eax,eax; rex variants handled below)
-    tuple(range(0x91, 0x98)): _Op(plusr_r=True, plusr_w=True,
-                                  reads=_B(0), writes=_B(0)),  # xchg rax, r
-    0x98: _Op(reads=_B(0), writes=_B(0)),  # cbw/cwde/cdqe
-    0x99: _Op(reads=_B(0), writes=_B(2)),  # cwd/cdq/cqo
-    0x9C: _Op(reads=_B(_RSP), writes=_B(_RSP), kills=_B(_RSP),
-              flags_r=ALL_FLAGS, mem_stack=True),  # pushfq
-    0x9D: _Op(reads=_B(_RSP), writes=_B(_RSP), kills=_B(_RSP),
-              flags_w=ALL_FLAGS, flags_must=ALL_FLAGS,
-              mem_stack=True),  # popfq
-    0x9E: _Op(reads=_B(0), flags_w=CF | PF | AF | ZF | SF,
-              flags_must=CF | PF | AF | ZF | SF),  # sahf
-    0x9F: _Op(writes=_B(0), flags_r=CF | PF | AF | ZF | SF),  # lahf
-    # moffs forms: absolute-address loads/stores through rax
-    0xA0: _Op(writes=_B(0), byte_op=True),
-    0xA1: _Op(writes=_B(0)),
-    0xA2: _Op(reads=_B(0), byte_op=True),
-    0xA3: _Op(reads=_B(0)),
-    0xA8: _Op(reads=_B(0), flags_w=STATUS_FLAGS, flags_must=_LOGIC,
-              byte_op=True),  # test al, imm8
-    0xA9: _Op(reads=_B(0), flags_w=STATUS_FLAGS,
-              flags_must=_LOGIC),  # test eax, imm32
-    tuple(range(0xB0, 0xB8)): _Op(plusr_w=True, byte_op=True),  # mov r8, imm
-    tuple(range(0xB8, 0xC0)): _Op(plusr_w=True),  # mov r, imm (kills)
-    (0xC0, 0xD0): tuple(_SHIFT8 for _ in range(8)),
-    (0xC1, 0xD1): tuple(_SHIFT for _ in range(8)),
-    0xD2: tuple(_SHIFT8_CL for _ in range(8)),
-    0xD3: tuple(_SHIFT_CL for _ in range(8)),
-    0xC6: (_Op(rm_w=True, byte_op=True),) + (None,) * 7,  # mov rm8, imm8
-    0xC7: (_Op(rm_w=True),) + (None,) * 7,  # mov rm, imm32
-    0xC9: _Op(reads=_B(_RBP) | _B(_RSP), writes=_B(_RSP) | _B(_RBP),
-              kills=_B(_RSP) | _B(_RBP), mem_stack=True),  # leave
-    # Direct branches transfer control with no register or memory
-    # effects; loopcc additionally decrements rcx (loope/loopne read
-    # ZF).  Direct call (E8) is deliberately absent: it writes the
-    # return address and the callee may clobber anything.
-    0xE0: _Op(reads=_B(1), writes=_B(1), kills=_B(1),
-              flags_r=ZF),  # loopne
-    0xE1: _Op(reads=_B(1), writes=_B(1), kills=_B(1),
-              flags_r=ZF),  # loope
-    0xE2: _Op(reads=_B(1), writes=_B(1), kills=_B(1)),  # loop
-    0xE3: _Op(reads=_B(1)),  # jrcxz
-    0xE9: _Op(),  # jmp rel32
-    0xEB: _Op(),  # jmp rel8
-    0xF5: _Op(flags_r=CF, flags_w=CF, flags_must=CF),  # cmc
-    # grp3 byte form: test /0 /1, not /2, neg /3, then mul/imul/div/idiv
-    # against AL with the result in AX (rdx untouched).
-    0xF6: (
-        _Op(rm_r=True, flags_w=STATUS_FLAGS, flags_must=_LOGIC,
-            byte_op=True),
-        _Op(rm_r=True, flags_w=STATUS_FLAGS, flags_must=_LOGIC,
-            byte_op=True),
-        _Op(rm_r=True, rm_w=True, byte_op=True),  # not: no flags
-        _Op(rm_r=True, rm_w=True, flags_w=STATUS_FLAGS, flags_must=_ARITH,
-            byte_op=True),
-        _Op(rm_r=True, reads=_B(0), writes=_B(0), flags_w=STATUS_FLAGS,
-            flags_must=CF | OF, byte_op=True),  # mul
-        _Op(rm_r=True, reads=_B(0), writes=_B(0), flags_w=STATUS_FLAGS,
-            flags_must=CF | OF, byte_op=True),  # imul
-        _Op(rm_r=True, reads=_B(0), writes=_B(0), flags_w=STATUS_FLAGS,
-            byte_op=True),  # div: all flags undefined
-        _Op(rm_r=True, reads=_B(0), writes=_B(0), flags_w=STATUS_FLAGS,
-            byte_op=True),  # idiv
-    ),
-    # grp3 word form: mul/imul/div/idiv use rdx:rax.
-    0xF7: (
-        _Op(rm_r=True, flags_w=STATUS_FLAGS, flags_must=_LOGIC),
-        _Op(rm_r=True, flags_w=STATUS_FLAGS, flags_must=_LOGIC),
-        _Op(rm_r=True, rm_w=True),  # not: no flags
-        _Op(rm_r=True, rm_w=True, flags_w=STATUS_FLAGS, flags_must=_ARITH),
-        _Op(rm_r=True, reads=_B(0), writes=_B(0) | _B(2),
-            flags_w=STATUS_FLAGS, flags_must=CF | OF),  # mul
-        _Op(rm_r=True, reads=_B(0), writes=_B(0) | _B(2),
-            flags_w=STATUS_FLAGS, flags_must=CF | OF),  # imul
-        _Op(rm_r=True, reads=_B(0) | _B(2), writes=_B(0) | _B(2),
-            flags_w=STATUS_FLAGS),  # div: all flags undefined
-        _Op(rm_r=True, reads=_B(0) | _B(2), writes=_B(0) | _B(2),
-            flags_w=STATUS_FLAGS),  # idiv
-    ),
-    0xF8: _Op(flags_w=CF, flags_must=CF),  # clc
-    0xF9: _Op(flags_w=CF, flags_must=CF),  # stc
-    0xFC: _Op(flags_w=DF, flags_must=DF),  # cld
-    0xFD: _Op(flags_w=DF, flags_must=DF),  # std
-    # grp4: inc/dec rm8
-    0xFE: (_Op(rm_r=True, rm_w=True, flags_w=_INCDEC, flags_must=_INCDEC,
-               byte_op=True),
-           _Op(rm_r=True, rm_w=True, flags_w=_INCDEC, flags_must=_INCDEC,
-               byte_op=True)) + (None,) * 6,
-    # grp5: inc/dec rm; call/jmp are Flow.GROUP5 (liveness stops there
-    # anyway), push /6 reads its operand
-    0xFF: (
-        _Op(rm_r=True, rm_w=True, flags_w=_INCDEC, flags_must=_INCDEC),
-        _Op(rm_r=True, rm_w=True, flags_w=_INCDEC, flags_must=_INCDEC),
-        None, None, None, None,
-        _Op(rm_r=True, reads=_B(_RSP), writes=_B(_RSP), kills=_B(_RSP),
-            mem_stack=True, no_mem=False),  # push rm
-        None,
-    ),
-})
-_fill(_ONE, _STRING)
-
-# mov with byte/word immediate into the byte registers never kills; the
-# 32/64-bit B8+r form zero-extends and kills — encode that by resolving
-# kill from operand size in facts_for (plusr_w + opsize >= 4).
-
-# -- 0F (two-byte) opcode map ------------------------------------------------
-
-_CMOV = _Op(rm_r=True, reg_r=True, reg_w=True, cc_uses=True)
-_SETCC = _Op(rm_w=True, byte_op=True, cc_uses=True)
-_BT_W = _Op(rm_r=True, rm_w=True, reg_r=True, flags_w=STATUS_FLAGS,
-            flags_must=CF)
-
-_fill(_TWO, {
-    0x05: None,  # syscall: kernel-defined effects; stays unknown
-    0x1F: (_Op(no_mem=True, rm_r=False),) * 8,  # multi-byte nop (any /reg)
-    tuple(range(0x40, 0x50)): _CMOV,  # cmovcc
-    tuple(range(0x80, 0x90)): _Op(cc_uses=True),  # jcc rel32
-    tuple(range(0x90, 0xA0)): tuple(_SETCC for _ in range(8)),  # setcc
-    0xA3: _Op(rm_r=True, reg_r=True, flags_w=STATUS_FLAGS,
-              flags_must=CF),  # bt
-    0xAB: _BT_W,  # bts
-    0xAF: _Op(rm_r=True, reg_r=True, reg_w=True, flags_w=STATUS_FLAGS,
-              flags_must=CF | OF),  # imul r, rm
-    0xB0: _Op(rm_r=True, rm_w=True, reg_r=True, reads=_B(0), writes=_B(0),
-              flags_w=STATUS_FLAGS, flags_must=_ARITH,
-              byte_op=True),  # cmpxchg rm8
-    0xB1: _Op(rm_r=True, rm_w=True, reg_r=True, reads=_B(0), writes=_B(0),
-              flags_w=STATUS_FLAGS, flags_must=_ARITH),  # cmpxchg
-    0xB3: _BT_W,  # btr
-    0xB6: _Op(rm_r=True, rm_byte=True, reg_w=True),  # movzx r, rm8
-    0xB7: _Op(rm_r=True, reg_w=True),  # movzx r, rm16
-    0xB8: _Op(rm_r=True, reg_w=True, flags_w=STATUS_FLAGS,
-              flags_must=_LOGIC),  # popcnt (with F3)
-    0xBB: _BT_W,  # btc
-    0xBC: _Op(rm_r=True, reg_w=True, flags_w=STATUS_FLAGS,
-              flags_must=ZF),  # bsf (dst undefined on ZF=1: write, no kill)
-    0xBD: _Op(rm_r=True, reg_w=True, flags_w=STATUS_FLAGS,
-              flags_must=ZF),  # bsr
-    0xBE: _Op(rm_r=True, rm_byte=True, reg_w=True),  # movsx r, rm8
-    0xBF: _Op(rm_r=True, reg_w=True),  # movsx r, rm16
-    0xC0: _Op(rm_r=True, rm_w=True, reg_r=True, reg_w=True,
-              flags_w=STATUS_FLAGS, flags_must=_ARITH,
-              byte_op=True),  # xadd rm8
-    0xC1: _Op(rm_r=True, rm_w=True, reg_r=True, reg_w=True,
-              flags_w=STATUS_FLAGS, flags_must=_ARITH),  # xadd
-    tuple(range(0xC8, 0xD0)): _Op(plusr_r=True, plusr_w=True),  # bswap
-})
-
-# Opcodes whose register destinations never kill even at 32/64-bit width
-# (the value is conditional or undefined on some path).
-_NO_KILL_REG_W = {
-    (1, op) for op in tuple(range(0x40, 0x50)) + (0xBC, 0xBD)
-}
-
-
-def is_endbr64(insn: Instruction) -> bool:
-    """True for the CET landing-pad instruction ``endbr64`` (F3 0F 1E FA).
-
-    The decoder classifies it under the generic two-byte fallback; the
-    linter needs the precise identification because overwriting a landing
-    pad breaks every indirect branch that targets it on CET hardware.
-    """
-    return (
-        insn.opmap == 1
-        and insn.opcode == 0x1E
-        and insn.modrm == 0xFA
-        and pfx.REP in insn.legacy_prefixes
-    )
-
+#: Effect templates (or group 8-tuples) of the one-byte map, indexed
+#: ``REX.B << 8 | opcode``, and of the 0F map, indexed by opcode.
+_ONE, _TWO = (
+    [UNKNOWN if row is None else row.effects for row in legacy_rows(m)]
+    for m in (0, 1)
+)
 
 _ENDBR_FACTS = InsnFacts(known=True)  # architectural no-op
 
 
-def _opsize(insn: Instruction, entry: _Op) -> int:
+def _opsize(insn: Instruction, entry: Effects) -> int:
     if entry.byte_op:
         return 1
     if pfx.OPSIZE in insn.legacy_prefixes:
@@ -532,14 +186,6 @@ def _mem_class(insn: Instruction) -> str:
     return "heap"
 
 
-# REX.B 0x90 is xchg rax, r8 — emphatically not a nop.
-_XCHG_AX = _Op(plusr_r=True, plusr_w=True, reads=_B(0), writes=_B(0))
-
-#: mem_stack opcodes whose implicit stack access is a store (push forms
-#: and pushfq); everything else with mem_stack reads the stack (pops).
-_STACK_WRITE_OPS = frozenset(range(0x50, 0x58)) | {0x68, 0x6A, 0x9C, 0xFF}
-
-
 def _gpr8(insn: Instruction, reg: int) -> int:
     """Map an 8-bit register operand number to the GPR it aliases.
 
@@ -553,32 +199,33 @@ def _gpr8(insn: Instruction, reg: int) -> int:
 
 
 def facts_for(insn: Instruction) -> InsnFacts:
-    """Resolve *insn* against the fact tables.
+    """Resolve *insn* against its row's effect template.
 
     Returns :data:`UNKNOWN_FACTS` (``known=False``, everything live) for
-    any opcode outside the tables — VEX/EVEX encodings, the 0F38/0F3A
-    maps, privileged/system opcodes — so consumers degrade conservatively
-    rather than wrongly.
+    any opcode the templates do not model — VEX/EVEX encodings, the
+    0F38/0F3A maps, privileged/system opcodes — so consumers degrade
+    conservatively rather than wrongly.
     """
     if insn.vex is not None:
         return UNKNOWN_FACTS
     if is_endbr64(insn):
         return _ENDBR_FACTS
+    opcode = insn.opcode
     if insn.opmap == 0:
-        entry = _ONE[insn.opcode]
-        if (insn.opcode == 0x90 and insn.rex is not None
-                and insn.rex & pfx.REX_B):
-            entry = _XCHG_AX
+        rex = insn.rex
+        entry = _ONE[opcode if rex is None else (rex & pfx.REX_B) << 8 | opcode]
     elif insn.opmap == 1:
-        entry = _TWO[insn.opcode]
-        if insn.opcode == 0xB8 and pfx.REP not in insn.legacy_prefixes:
+        entry = _TWO[opcode]
+        if opcode == 0xB8 and pfx.REP not in insn.legacy_prefixes:
             return UNKNOWN_FACTS  # 0F B8 is popcnt only under F3
     else:
         return UNKNOWN_FACTS
-    if isinstance(entry, tuple):  # opcode group: ModRM.reg selects
+    if entry.__class__ is tuple:  # opcode group: ModRM.reg selects
         sel = insn.reg_raw
-        entry = entry[sel] if sel is not None else None
-    if entry is None:
+        if sel is None:
+            return UNKNOWN_FACTS
+        entry = entry[sel]
+    if not entry.known:
         return UNKNOWN_FACTS
 
     opsize = _opsize(insn, entry)
@@ -628,7 +275,7 @@ def facts_for(insn: Instruction) -> InsnFacts:
             reads |= bit
         if entry.reg_w:
             writes |= bit
-            if kill_width and (insn.opmap, insn.opcode) not in _NO_KILL_REG_W:
+            if kill_width and not entry.reg_no_kill:
                 kills |= bit
 
     if entry.plusr_r or entry.plusr_w:
@@ -649,29 +296,20 @@ def facts_for(insn: Instruction) -> InsnFacts:
     if entry.cc_uses:
         flags_r |= CC_FLAGS[insn.opcode & 0xF]
 
-    if entry.string_op:
-        # String steps use rsi/rdi width-8 pointers; a REP/REPNE prefix
-        # adds the rcx counter (read and written, never killed: cmps/scas
-        # may stop early at a data-dependent count).
-        if (pfx.REP in insn.legacy_prefixes
-                or pfx.REPNE in insn.legacy_prefixes):
-            reads |= _B(1)
-            writes |= _B(1)
-        op = insn.opcode
-        mem_class = "heap"  # pointer-typed rsi/rdi: unclassifiable target
-        mem_width = opsize
-        mem_write = op in (0xA4, 0xA5, 0xAA, 0xAB)  # movs / stos store
-        mem_read = op not in (0xAA, 0xAB)  # everything but stos loads
-    elif entry.mem_stack and mem_class is None:
-        mem_class = "stack"
-        mem_width = 8
-        mem_write = insn.opcode in _STACK_WRITE_OPS
-        mem_read = not mem_write
-    elif insn.opmap == 0 and 0xA0 <= insn.opcode <= 0xA3:
-        mem_class = "global"  # moffs absolute address
-        mem_width = opsize
-        mem_write = insn.opcode >= 0xA2
-        mem_read = not mem_write
+    if entry.string_op and (pfx.REP in insn.legacy_prefixes
+                            or pfx.REPNE in insn.legacy_prefixes):
+        # A REP/REPNE string op also steps the rcx counter (read and
+        # written, never killed: cmps/scas may stop early at a
+        # data-dependent count).
+        reads |= 1 << 1
+        writes |= 1 << 1
+    if entry.mem is not None and mem_class is None:
+        # Implicit memory: push/pop (8 bytes on the stack), string ops
+        # (pointer-typed rsi/rdi: an unclassifiable target), moffs.
+        mem_class = entry.mem
+        mem_width = 8 if mem_class == "stack" else opsize
+        mem_read = entry.mem_r
+        mem_write = entry.mem_w
 
     return InsnFacts(
         known=True,

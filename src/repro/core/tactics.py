@@ -17,7 +17,6 @@ from repro.errors import PatchError
 from repro.core.allocator import AddressSpace
 from repro.core.binary import CodeImage
 from repro.core.puns import PunWindow, pun_windows, short_jump_spec
-from repro.elf.constants import ENDBR64
 from repro.core.trampoline import (
     Empty,
     Instrumentation,
@@ -26,6 +25,7 @@ from repro.core.trampoline import (
     inject_bug_enabled,
     trampoline_size,
 )
+from repro.x86.flow import is_endbr64
 from repro.x86.insn import Instruction
 
 
@@ -101,11 +101,6 @@ class Transaction:
 _EMPTY = Empty()
 
 
-def is_endbr64_insn(insn: Instruction) -> bool:
-    """True when *insn* is the IBT landing pad (F3 0F 1E FA)."""
-    return insn.length == 4 and bytes(insn.raw[:4]) == ENDBR64
-
-
 @dataclass
 class TacticContext:
     """Everything a tactic needs: image, allocator, instruction index.
@@ -141,7 +136,7 @@ class TacticContext:
     def protects(self, insn: Instruction) -> bool:
         """True when *insn* is an IBT landing pad this rewrite must keep
         byte-identical (only in CET mode)."""
-        return self.cet and is_endbr64_insn(insn)
+        return self.cet and is_endbr64(insn)
 
     def insn_at(self, addr: int) -> Instruction | None:
         """Instruction starting exactly at *addr*."""

@@ -5,53 +5,35 @@ REX, VEX (C4/C5), EVEX (62), the one/two/three-byte opcode maps, ModRM,
 SIB, displacement, and immediates.  Lengths are exact; the test suite
 validates against ``objdump`` on compiler output.
 
-Two implementations live here:
+:func:`decode` is a single-pass loop over a precomputed 256-entry
+first-byte dispatch table (``_FIRST``: opcode / legacy prefix / REX /
+VEX-escape) and dense per-opcode entry tuples (``_D1`` / ``_D2`` /
+``_D38`` / ``_D3A``) generated at import from the rows of
+:mod:`repro.x86.tables`, with group mnemonics and group writes resolved
+per ModRM.reg.  The hot loop performs no dict lookups, no method calls
+and no byte slicing (``Instruction.raw`` stays a lazy view).
 
-* :func:`decode` — the fast path.  A single-pass loop over a precomputed
-  256-entry first-byte dispatch table (``_FIRST``: opcode / legacy
-  prefix / REX / VEX-escape) with per-opcode spec tuples (``_D1`` /
-  ``_D2``) that pre-resolve mnemonic-group tables and group-write sets,
-  so the hot loop performs no dict lookups, no cursor-object method
-  calls, and no byte slicing (``Instruction.raw`` stays a lazy view).
-* :func:`decode_reference` — the original cursor-based implementation,
-  retained verbatim as the oracle for the differential test suite and
-  the bench byte-identity check.
-
-Both raise :class:`DecodeError` with identical messages for identical
-inputs; ``tests/x86/test_decoder_differential.py`` enforces this.
+The cursor-based decoder this one was derived from is kept as the
+oracle of the differential tests (``tests/x86/reference_decoder.py``):
+both must agree on every field and, for rejected input, on the error
+message.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from repro.errors import DecodeError
 from repro.x86 import prefixes as pfx
 from repro.x86 import tables
 from repro.x86.insn import DecodedRegion, Instruction
-from repro.x86.tables import (
-    F_GROUP_WRITE,
-    F_INVALID64,
-    F_STRING_WRITE,
-    F_WRITES_RM,
-    Imm,
-    OpSpec,
-)
+from repro.x86.tables import F_INVALID64, F_STRING_WRITE, Flow, Imm, OpSpec
 
 MAX_INSN_LEN = 15
 
-_GRP1_NAMES = ("add", "or", "adc", "sbb", "and", "sub", "xor", "cmp")
-_GRP2_NAMES = ("rol", "ror", "rcl", "rcr", "shl", "shr", "sal", "sar")
-_GRP3_NAMES = ("test", "test", "not", "neg", "mul", "imul", "div", "idiv")
-_GRP5_NAMES = ("inc", "dec", "call", "lcall", "jmp", "ljmp", "push", "(bad)")
-
-
-def _signed(value: int, size: int) -> int:
-    """Interpret *size* little-endian bytes as a signed integer."""
-    bit = 1 << (size * 8 - 1)
-    return (value ^ bit) - bit
-
 
 # ---------------------------------------------------------------------------
-# Fast-path dispatch tables.
+# Dispatch tables.
 # ---------------------------------------------------------------------------
 # First-byte classification: what role a byte plays at the start of an
 # instruction (after any bytes already consumed).
@@ -65,58 +47,55 @@ for _b in range(0x40, 0x50):
 for _b in (0xC4, 0xC5, 0x62):
     _FIRST[_b] = _VEX
 
-# ModRM-group mnemonics resolved by modrm.reg; grp4 pads the historical
-# "reg < 2 else (bad)" rule out to a full 8-entry table.
-_GROUP_NAMES: dict[str, tuple[str, ...]] = {
-    "grp1": _GRP1_NAMES,
-    "grp2": _GRP2_NAMES,
-    "grp3": _GRP3_NAMES,
-    "grp4": ("inc", "dec", "(bad)", "(bad)", "(bad)", "(bad)", "(bad)", "(bad)"),
-    "grp5": _GRP5_NAMES,
-}
 
+def _entry(spec: OpSpec | None):
+    """Flatten a row into the decoder's per-opcode tuple:
+    (mnemonic, has_modrm, imm_code, flow, flags, writes_rm, groups).
 
-def _entry(spec: OpSpec, key: int):
-    """Flatten an OpSpec into the fast path's per-opcode tuple:
-    (mnemonic, has_modrm, imm_code, flow, flags, group_write_regs, group_names).
+    For a group opcode, *groups* holds ``(mnemonic, writes_rm)`` per
+    ModRM.reg, and the entry's own *writes_rm* says whether any of them
+    writes (what :mod:`repro.x86.fastscan` keys its store bit on).
     """
-    gw = None
-    if spec.flags & F_GROUP_WRITE:
-        gw = tables.GROUP_WRITES.get(key, frozenset())
+    if spec is None:
+        return None
+    names, effects = spec.mnemonic, spec.effects
+    groups = None
+    if type(names) is tuple or type(effects) is tuple:
+        if type(names) is not tuple:
+            names = (names,) * 8
+        if type(effects) is not tuple:
+            effects = (effects,) * 8
+        groups = tuple((n, e.rm_w) for n, e in zip(names, effects))
+        writes = any(w for _, w in groups)
+        names = names[0]
+    else:
+        writes = effects.rm_w
+    return (names, spec.modrm, spec.imm.value, spec.flow, spec.flags, writes, groups)
+
+
+# Legacy maps: None marks bytes with no opcode meaning (prefixes, VEX
+# escapes, 0F) — reaching one of those in the opcode slot is an error.
+# The one-byte map is indexed ``REX.B << 8 | opcode``.
+_D1, _D2, _D38, _D3A = (
+    [_entry(spec) for spec in tables.legacy_rows(m)] for m in range(4)
+)
+
+
+@cache
+def _vex_entry(opmap: int, opcode: int):
+    """The entry of a VEX/EVEX opcode.  Its REL32 immediate kind (map 1,
+    80-8F) decodes as IZ: the same size, but VEX immediates are not
+    sign-extended."""
+    has_modrm = (opmap, opcode) not in tables.VEX_NO_MODRM
+    kind = tables.vex_imm_kind(opmap, opcode)
+    if kind is Imm.REL32:
+        kind = Imm.IZ
     return (
-        spec.mnemonic,
-        spec.modrm,
-        spec.imm.value,
-        spec.flow,
-        spec.flags,
-        gw,
-        _GROUP_NAMES.get(spec.mnemonic),
+        f"vex.m{opmap}.{opcode:02x}" if has_modrm else "vzeroupper",
+        has_modrm, kind.value, Flow.NONE, 0,
+        opmap == 1 and opcode in tables.VEX_MAP1_STORES, None,
     )
 
-
-# One-byte map: None marks bytes with no opcode meaning (prefixes, VEX
-# escapes, 0F) — reaching one of those in the opcode slot is an error.
-_D1: list[tuple | None] = [None] * 256
-for _op, _spec in tables.ONE_BYTE.items():
-    _D1[_op] = _entry(_spec, _op)
-
-# Two-byte (0F) map: dense, thanks to the table's default spec.
-_D2 = [_entry(tables.two_byte_spec(_op), 0x0F00 | _op) for _op in range(256)]
-
-# Three-byte (0F 38 / 0F 3A) maps, dense over the third opcode byte.
-_E38 = _entry(tables.THREE_BYTE_38_DEFAULT, 0)
-_E38_STORE = _entry(
-    OpSpec(tables.THREE_BYTE_38_DEFAULT.mnemonic, modrm=True, flags=F_WRITES_RM), 0
-)
-_E3A = _entry(tables.THREE_BYTE_3A_DEFAULT, 0)
-_E3A_STORE = _entry(
-    OpSpec(tables.THREE_BYTE_3A_DEFAULT.mnemonic, modrm=True, imm=Imm.IB,
-           flags=F_WRITES_RM), 0
-)
-_D38 = [_E38_STORE if _op in tables.THREE_BYTE_38_STORES else _E38
-        for _op in range(256)]
-_D3A = [_E3A_STORE if _op in tables.THREE_BYTE_3A_STORES else _E3A
-        for _op in range(256)]
 
 # Imm enum values, inlined as ints for the hot loop's compares.
 _IMM_IB, _IMM_IW, _IMM_IZ, _IMM_IV = 1, 2, 3, 4
@@ -165,56 +144,59 @@ def decode(data: bytes, offset: int = 0, address: int | None = None) -> Instruct
     # them out lazily on first access (no per-instruction bytes copy).
     legacy = npfx
 
-    # --- REX / VEX / EVEX --------------------------------------------------
-    rex = None
-    if cls == _REX:
-        rex = b
-        pos += 1
-        if pos >= limit:
+    # --- REX / VEX / EVEX, then the opcode -----------------------------------
+    rex = vex = None
+    if cls == _VEX:
+        # VEX (C5: 2 bytes, C4: 3) or EVEX (62: 4 bytes); the map select
+        # sits in the first payload byte.  No legacy-map rule applies.
+        size = 2 if b == 0xC5 else 3 if b == 0xC4 else 4
+        if pos + size >= limit:
             raise DecodeError("truncated instruction", offset=offset)
-        b = data[pos]
-    elif cls == _VEX:
-        # Cold path: delegate to the shared VEX/EVEX decoder.
-        cur = _Cursor(data, offset)
-        cur.pos = pos
-        insn = Instruction(
-            raw=b"", mnemonic="", address=offset if address is None else address
-        )
-        insn.legacy_prefixes = legacy
-        return _decode_vex(cur, insn, opsize16, offset, data)
-
-    # --- opcode ------------------------------------------------------------
-    pos += 1
-    opmap = 0
-    opcode = b
-    if b != 0x0F:
-        entry = _D1[b]
-        if entry is None:
-            raise DecodeError(f"unknown opcode {opcode:#04x}", offset=offset)
-    else:
-        if pos >= limit:
-            raise DecodeError("truncated instruction", offset=offset)
+        vex = bytes(data[pos : pos + size])
+        opmap = 1 if b == 0xC5 else vex[1] & (0x1F if b == 0xC4 else 0x07)
+        pos += size
         opcode = data[pos]
         pos += 1
-        opmap = 1
-        if opcode == 0x38:
+        entry = _vex_entry(opmap, opcode)
+        rep = False
+    else:
+        if cls == _REX:
+            rex = b
+            pos += 1
             if pos >= limit:
                 raise DecodeError("truncated instruction", offset=offset)
-            opcode = data[pos]
-            pos += 1
-            opmap = 2
-            entry = _D38[opcode]
-        elif opcode == 0x3A:
-            if pos >= limit:
-                raise DecodeError("truncated instruction", offset=offset)
-            opcode = data[pos]
-            pos += 1
-            opmap = 3
-            entry = _D3A[opcode]
+            b = data[pos]
+        pos += 1
+        opmap = 0
+        opcode = b
+        if b != 0x0F:
+            entry = _D1[b if rex is None else (rex & 1) << 8 | b]
+            if entry is None:
+                raise DecodeError(f"unknown opcode {opcode:#04x}", offset=offset)
         else:
-            entry = _D2[opcode]
+            if pos >= limit:
+                raise DecodeError("truncated instruction", offset=offset)
+            opcode = data[pos]
+            pos += 1
+            opmap = 1
+            if opcode == 0x38:
+                if pos >= limit:
+                    raise DecodeError("truncated instruction", offset=offset)
+                opcode = data[pos]
+                pos += 1
+                opmap = 2
+                entry = _D38[opcode]
+            elif opcode == 0x3A:
+                if pos >= limit:
+                    raise DecodeError("truncated instruction", offset=offset)
+                opcode = data[pos]
+                pos += 1
+                opmap = 3
+                entry = _D3A[opcode]
+            else:
+                entry = _D2[opcode]
 
-    mnemonic, has_modrm, ic, flow, flags, gw, names = entry
+    mnemonic, has_modrm, ic, flow, flags, writes_rm, groups = entry
     if flags & F_INVALID64:
         raise DecodeError(f"opcode {opcode:#04x} invalid in 64-bit mode",
                           offset=offset)
@@ -297,21 +279,17 @@ def decode(data: bytes, offset: int = 0, address: int | None = None) -> Instruct
             imm = v
 
     # --- semantics ---------------------------------------------------------
-    if names is not None:
-        mnemonic = names[(modrm >> 3) & 7]
+    if groups is not None:
+        mnemonic, writes_rm = groups[(modrm >> 3) & 7]
     if rep:
+        # F3 rules: F3 90 is pause; F3 0F 7E is movq xmm, xmm/m64, a load
+        # (66 0F 7E and 0F 7E store).
         if opmap == 0:
-            if opcode == 0x90 and mnemonic == "nop":
+            if opcode == 0x90:
                 mnemonic = "pause"
-        elif opmap == 1 and opcode == 0xB8:
-            mnemonic = "popcnt"
-
-    if flags & F_WRITES_RM:
-        writes_rm = True
-    elif gw is not None:
-        writes_rm = ((modrm >> 3) & 7) in gw
-    else:
-        writes_rm = False
+        elif opmap == 1 and opcode == 0x7E:
+            mnemonic = "movq"
+            writes_rm = False
 
     insn = Instruction.__new__(Instruction)
     insn._raw = None
@@ -322,7 +300,7 @@ def decode(data: bytes, offset: int = 0, address: int | None = None) -> Instruct
     insn.address = offset if address is None else address
     insn._legacy = legacy
     insn.rex = rex
-    insn.vex = None
+    insn.vex = vex
     insn.opmap = opmap
     insn.opcode = opcode
     insn.opcode_offset = opcode_offset
@@ -344,80 +322,10 @@ def decode(data: bytes, offset: int = 0, address: int | None = None) -> Instruct
     return insn
 
 
-# ---------------------------------------------------------------------------
-# Reference implementation (differential-test oracle).
-# ---------------------------------------------------------------------------
-
-
-class _Cursor:
-    """Byte cursor with bounds checking over the instruction window."""
-
-    __slots__ = ("data", "start", "pos", "limit")
-
-    def __init__(self, data: bytes, start: int) -> None:
-        self.data = data
-        self.start = start
-        self.pos = start
-        self.limit = min(len(data), start + MAX_INSN_LEN)
-
-    def peek(self) -> int:
-        if self.pos >= self.limit:
-            raise DecodeError("truncated instruction", offset=self.start)
-        return self.data[self.pos]
-
-    def take(self) -> int:
-        byte = self.peek()
-        self.pos += 1
-        return byte
-
-    def take_n(self, n: int) -> int:
-        """Take *n* bytes as a little-endian unsigned integer."""
-        if self.pos + n > self.limit:
-            raise DecodeError("truncated instruction", offset=self.start)
-        value = int.from_bytes(self.data[self.pos : self.pos + n], "little")
-        self.pos += n
-        return value
-
-    @property
-    def offset(self) -> int:
-        """Offset from instruction start."""
-        return self.pos - self.start
-
-
-def _decode_modrm(cur: _Cursor, insn: Instruction, addrsize32: bool) -> None:
-    """Decode ModRM, optional SIB, and displacement into *insn*."""
-    modrm = cur.take()
-    insn.modrm = modrm
-    mod = modrm >> 6
-    rm = modrm & 7
-
-    disp_size = 0
-    if mod == 0:
-        if rm == 4:
-            insn.sib = cur.take()
-            if (insn.sib & 7) == 5:
-                disp_size = 4
-        elif rm == 5:
-            disp_size = 4  # rip-relative (eip-relative with 0x67)
-    elif mod == 1:
-        if rm == 4:
-            insn.sib = cur.take()
-        disp_size = 1
-    elif mod == 2:
-        if rm == 4:
-            insn.sib = cur.take()
-        disp_size = 4
-    # mod == 3: register operand, no displacement.
-
-    if disp_size:
-        insn.disp_offset = cur.offset
-        insn.disp_size = disp_size
-        insn.disp = _signed(cur.take_n(disp_size), disp_size)
-
-
 def _imm_bytes(kind: Imm, opsize16: bool, rexw: bool, opcode: int,
                modrm_reg: int | None, addrsize32: bool) -> int:
-    """Return the immediate length in bytes for the given context."""
+    """Return the immediate length in bytes for the given context (the
+    rule :mod:`repro.x86.fastscan` builds its length tables from)."""
     if kind == Imm.NONE:
         return 0
     if kind in (Imm.IB, Imm.REL8):
@@ -443,189 +351,6 @@ def _imm_bytes(kind: Imm, opsize16: bool, rexw: bool, opcode: int,
             return 2 if opsize16 else 4
         return 0
     raise AssertionError(f"unhandled immediate kind {kind}")
-
-
-def _refine_mnemonic(spec: OpSpec, opcode: int, reg: int | None) -> str:
-    """Resolve group mnemonics using the ModRM.reg selector."""
-    name = spec.mnemonic
-    if reg is None:
-        return name
-    if name == "grp1":
-        return _GRP1_NAMES[reg]
-    if name == "grp2":
-        return _GRP2_NAMES[reg]
-    if name == "grp3":
-        return _GRP3_NAMES[reg]
-    if name == "grp4":
-        return ("inc", "dec")[reg] if reg < 2 else "(bad)"
-    if name == "grp5":
-        return _GRP5_NAMES[reg]
-    return name
-
-
-def decode_reference(data: bytes, offset: int = 0,
-                     address: int | None = None) -> Instruction:
-    """Decode one instruction (reference implementation).
-
-    Byte-for-byte and field-for-field equivalent to :func:`decode`; kept
-    as the slow, obviously-correct oracle the differential tests compare
-    the fast path against.
-    """
-    if offset >= len(data):
-        raise DecodeError("offset beyond end of buffer", offset=offset)
-    cur = _Cursor(data, offset)
-
-    # --- legacy prefixes ---------------------------------------------------
-    legacy = bytearray()
-    while True:
-        byte = cur.peek()
-        if pfx.is_legacy_prefix(byte):
-            legacy.append(cur.take())
-            if len(legacy) > 14:
-                raise DecodeError("prefix run exceeds instruction limit", offset=offset)
-        else:
-            break
-
-    opsize16 = pfx.OPSIZE in legacy
-    addrsize32 = pfx.ADDRSIZE in legacy
-    rep = pfx.REP in legacy
-
-    insn = Instruction(raw=b"", mnemonic="", address=offset if address is None else address)
-    insn.legacy_prefixes = bytes(legacy)
-
-    # --- REX ----------------------------------------------------------------
-    byte = cur.peek()
-    if pfx.is_rex(byte):
-        insn.rex = cur.take()
-        byte = cur.peek()
-
-    rexw = bool(insn.rex and insn.rex & pfx.REX_W)
-
-    # --- VEX / EVEX ----------------------------------------------------------
-    if insn.rex is None and byte in (0xC4, 0xC5, 0x62):
-        return _decode_vex(cur, insn, opsize16, offset, data)
-
-    # --- opcode ----------------------------------------------------------------
-    opcode = cur.take()
-    opmap = 0
-    if opcode == 0x0F:
-        opcode = cur.take()
-        opmap = 1
-        if opcode == 0x38:
-            opcode = cur.take()
-            opmap = 2
-        elif opcode == 0x3A:
-            opcode = cur.take()
-            opmap = 3
-
-    if opmap == 0:
-        spec = tables.ONE_BYTE.get(opcode)
-        if spec is None:
-            raise DecodeError(f"unknown opcode {opcode:#04x}", offset=offset)
-    elif opmap == 1:
-        spec = tables.two_byte_spec(opcode)
-    elif opmap == 2:
-        spec = tables.THREE_BYTE_38_DEFAULT
-        if opcode in tables.THREE_BYTE_38_STORES:
-            spec = OpSpec(spec.mnemonic, modrm=True, flags=F_WRITES_RM)
-    else:
-        spec = tables.THREE_BYTE_3A_DEFAULT
-        if opcode in tables.THREE_BYTE_3A_STORES:
-            spec = OpSpec(spec.mnemonic, modrm=True, imm=Imm.IB, flags=F_WRITES_RM)
-
-    if spec.flags & F_INVALID64:
-        raise DecodeError(f"opcode {opcode:#04x} invalid in 64-bit mode", offset=offset)
-
-    insn.opmap = opmap
-    insn.opcode = opcode
-    insn.opcode_offset = cur.offset - 1
-
-    # --- ModRM / SIB / displacement ----------------------------------------
-    if spec.modrm:
-        _decode_modrm(cur, insn, addrsize32)
-
-    # --- immediate -----------------------------------------------------------
-    imm_len = _imm_bytes(spec.imm, opsize16, rexw, opcode, insn.reg_raw, addrsize32)
-    if imm_len:
-        insn.imm_offset = cur.offset
-        insn.imm_size = imm_len
-        value = cur.take_n(imm_len)
-        if spec.imm in (Imm.REL8, Imm.REL32):
-            insn.imm = _signed(value, imm_len)
-        else:
-            insn.imm = value
-
-    # --- semantics ------------------------------------------------------------
-    insn.flow = spec.flow
-    insn.mnemonic = _refine_mnemonic(spec, opcode, insn.reg_raw)
-    if rep and spec.mnemonic in ("nop",) and opmap == 0 and opcode == 0x90:
-        insn.mnemonic = "pause"
-    if opmap == 1 and opcode == 0xB8 and rep:
-        insn.mnemonic = "popcnt"
-
-    key = opcode if opmap == 0 else (0x0F00 | opcode)
-    if spec.flags & F_WRITES_RM:
-        insn.writes_rm = True
-    elif spec.flags & F_GROUP_WRITE:
-        regs = tables.GROUP_WRITES.get(key, frozenset())
-        insn.writes_rm = insn.reg_raw in regs
-    if spec.flags & F_STRING_WRITE:
-        insn.string_write = True
-
-    insn._raw = None
-    insn._data = data
-    insn._start = offset
-    insn._len = cur.pos - offset
-    return insn
-
-
-def _decode_vex(cur: _Cursor, insn: Instruction, opsize16: bool,
-                offset: int, data: bytes) -> Instruction:
-    """Decode a VEX- or EVEX-prefixed instruction (length-exact)."""
-    lead = cur.take()
-    if lead == 0xC5:  # 2-byte VEX
-        p1 = cur.take()
-        insn.vex = bytes((lead, p1))
-        map_select = 1
-    elif lead == 0xC4:  # 3-byte VEX
-        p1 = cur.take()
-        p2 = cur.take()
-        insn.vex = bytes((lead, p1, p2))
-        map_select = p1 & 0x1F
-    else:  # 0x62: EVEX
-        p0 = cur.take()
-        p1 = cur.take()
-        p2 = cur.take()
-        insn.vex = bytes((lead, p0, p1, p2))
-        map_select = p0 & 0x07
-
-    opcode = cur.take()
-    insn.opmap = map_select
-    insn.opcode = opcode
-    insn.opcode_offset = cur.offset - 1
-    insn.mnemonic = f"vex.m{map_select}.{opcode:02x}"
-
-    if (map_select, opcode) not in tables.VEX_NO_MODRM:
-        _decode_modrm(cur, insn, addrsize32=False)
-    else:
-        insn.mnemonic = "vzeroupper"
-
-    kind = tables.vex_imm_kind(map_select, opcode)
-    imm_len = _imm_bytes(kind, opsize16, False, opcode, insn.reg_raw, False)
-    if imm_len:
-        insn.imm_offset = cur.offset
-        insn.imm_size = imm_len
-        insn.imm = cur.take_n(imm_len)
-
-    # Store detection for the common VEX mov-store forms (map 1).
-    if map_select == 1 and opcode in tables.VEX_MAP1_STORES:
-        insn.writes_rm = True
-
-    insn._raw = None
-    insn._data = data
-    insn._start = offset
-    insn._len = cur.pos - offset
-    return insn
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ The result is an :class:`InstructionStream`: a lazy, zero-copy sequence
 of instruction *positions* that materializes real
 :class:`~repro.x86.insn.Instruction` objects (via the scalar decoder —
 the single source of truth) only when consumers index into it.  Byte
-identity with ``decode_buffer``/``decode_reference`` is therefore
+identity with ``decode_buffer`` is therefore
 structural: every materialized object *is* a scalar-decoder object, and
 the vectorized part only ever computes *where instructions start*, which
 is differentially tested against the scalar walk at every offset.
@@ -43,10 +43,8 @@ from repro.x86 import decoder as _dec
 from repro.x86.decoder import MAX_INSN_LEN, decode, decode_buffer
 from repro.x86.insn import Instruction
 from repro.x86.tables import (
-    F_GROUP_WRITE,
     F_INVALID64,
     F_STRING_WRITE,
-    F_WRITES_RM,
     VEX_MAP1_STORES,
     VEX_NO_MODRM,
     Flow,
@@ -153,7 +151,7 @@ def _map_table(entries):
                 sb |= SB_JUMP
             elif flow is Flow.CALL:
                 sb |= SB_CALL
-            store = bool(flags & (F_WRITES_RM | F_GROUP_WRITE))
+            store = e[5]  # for a group: some ModRM.reg writes
             # GROUP3 is the only kind whose size reads the opcode and
             # modrm.reg.
             key = (bool(e[1]), store, sb, code, op & 0xFF if code == _GROUP3 else 0)
@@ -205,7 +203,8 @@ def _vex_table():
 
 if HAVE_NUMPY:
     _RMSIB5, _RMLEN, _RMSTORE, _REG = _modrm_columns()
-    _maps = _map_table(_dec._D1 + _dec._D2 + _dec._D38 + _dec._D3A)
+    # The REX.B half of _D1 changes only 90's mnemonic, not its layout.
+    _maps = _map_table(_dec._D1[:256] + _dec._D2 + _dec._D38 + _dec._D3A)
     _T1 = _one_byte_tables(_maps[:256])  # prefix, REX, VEX and 0F rows are 0
     _TESC = _maps[256:].ravel()  # keyed (0F, 0F 38, 0F 3A) << 16 | opcode, ModRM
     _TVEX = _vex_table()
@@ -330,10 +329,18 @@ def _vector_walk(buf):
     """Walk the instruction chain of *buf* from offset 0.
 
     Returns ``(starts, mbits)``: the int32 start offsets and their uint8
-    SB_* bits.
+    SB_* bits, as views of one output pair allocated up front (an
+    instruction takes at least a byte, so *n* entries always suffice;
+    only the pages written become resident).  Per-window arrays joined
+    by one final concatenate would let the scan's freed temporaries
+    land under them on the heap, so peak RSS would depend on allocation
+    history.
     """
     n = len(buf)
     mv = memoryview(buf)
+    out_s = _np.empty(n, _np.int32)
+    out_m = _np.empty(n, _np.uint8)
+    k = 0
     # The step function and its powers live in two intp buffers allocated
     # once per walk (the first doubles as the scan's key buffer): numpy
     # casts any other index dtype to intp on every gather.  Past the
@@ -342,8 +349,6 @@ def _vector_walk(buf):
     size = min(n, _WINDOW) + MAX_INSN_LEN + 1
     ident = _np.arange(size, dtype=_np.intp)
     pa, pb = _np.empty(size, _np.intp), _np.empty(size, _np.intp)
-    parts_s = []
-    parts_m = []
     pos = 0
     lo = 0
     while lo < n:
@@ -378,14 +383,14 @@ def _vector_walk(buf):
             _np.add(cols[j - 1], step.take(cols[j - 1], mode="clip"), out=cols[j])
         starts = cols.T.ravel()
         starts = starts[: _np.searchsorted(starts, wn)]
-        parts_s.append(starts + lo)
-        parts_m.append((E[starts] >> _SB & 15).astype(_np.uint8))
+        end = k + len(starts)
+        _np.add(starts, lo, out=out_s[k:end])
+        out_m[k:end] = E[starts] >> _SB & 15
+        k = end
         last = int(starts[-1])
         pos = lo + last + int(step[last])
         lo = hi
-    if parts_s:
-        return _np.concatenate(parts_s), _np.concatenate(parts_m)
-    return _np.empty(0, _np.int32), _np.empty(0, _np.uint8)
+    return out_s[:k], out_m[:k]
 
 
 # ---------------------------------------------------------------------------

@@ -138,12 +138,6 @@ def _rm_operand(insn: Instruction, size: int) -> str:
     return format_mem(insn)
 
 
-_ALU = {0x00: "add", 0x08: "or", 0x10: "adc", 0x18: "sbb",
-        0x20: "and", 0x28: "sub", 0x30: "xor", 0x38: "cmp"}
-_GRP1 = ("add", "or", "adc", "sbb", "and", "sub", "xor", "cmp")
-_SHIFT = ("rol", "ror", "rcl", "rcr", "shl", "shr", "shl", "sar")
-
-
 def format_operands(insn: Instruction) -> str | None:  # noqa: C901
     """AT&T operand string (sources first), or None when unsupported."""
     if insn.mnemonic == "(bad)":

@@ -13,22 +13,33 @@ from __future__ import annotations
 
 import pytest
 
+from repro import analysis
+from repro.analysis import lint
 from repro.analysis.facts import UNKNOWN_FACTS, facts_for, is_endbr64
 from repro.analysis.lint import lint_context
 from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest, TacticToggles
-from repro.core.tactics import is_endbr64_insn
+from repro.core import tactics
+from repro.core.tactics import TacticContext
 from repro.core.trampoline import Empty
+from repro.elf.builder import TinyProgram
 from repro.elf.constants import ENDBR64
 from repro.elf.reader import ElfFile
 from repro.frontend.lineardisasm import disassemble_text
 from repro.frontend.matchers import match_jumps
+from repro.frontend.tool import instrument_elf
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.x86.decoder import decode_buffer
+from repro.x86.flow import is_endbr64 as flow_is_endbr64
 
 
 def decode_one(raw: bytes):
     return decode_buffer(raw, address=0x1000)[0]
+
+
+#: Landing pads with extra prefixes, as objdump reads them:
+#: ``rex.W endbr64`` and ``data16 endbr64``.
+PREFIXED_PADS = [b"\xf3\x48\x0f\x1e\xfa", b"\x66\xf3\x0f\x1e\xfa"]
 
 
 def cet_binary(seed: int = 41):
@@ -36,11 +47,30 @@ def cet_binary(seed: int = 41):
         n_jump_sites=25, n_write_sites=10, seed=seed, pie=True, cet=True))
 
 
+def protects(insn) -> bool:
+    """What the CET-mode tactics refuse to overwrite."""
+    return TacticContext(image=None, space=None, instructions=[], cet=True,
+                         inject_bug=False).protects(insn)
+
+
 class TestEndbrPredicates:
+    def test_one_predicate(self):
+        """Tactics, lint and the fact engine share one definition."""
+        assert is_endbr64 is flow_is_endbr64 is analysis.is_endbr64
+        assert lint.is_endbr64 is tactics.is_endbr64 is flow_is_endbr64
+
     def test_endbr64_recognized(self):
         insn = decode_one(ENDBR64)
         assert is_endbr64(insn)
-        assert is_endbr64_insn(insn)
+        assert protects(insn)
+
+    @pytest.mark.parametrize("raw", PREFIXED_PADS, ids=["rex.W", "data16"])
+    def test_prefixed_endbr64_recognized(self, raw):
+        insn = decode_one(raw)
+        assert insn.length == len(raw)
+        assert is_endbr64(insn)
+        assert protects(insn)
+        assert facts_for(insn).known
 
     @pytest.mark.parametrize("raw", [
         b"\x90",              # nop
@@ -51,7 +81,7 @@ class TestEndbrPredicates:
     def test_non_landing_pads_rejected(self, raw):
         insn = decode_one(raw)
         assert not is_endbr64(insn)
-        assert not is_endbr64_insn(insn)
+        assert not protects(insn)
 
     def test_endbr_has_known_facts(self):
         """The fact tables must model endbr64 (semantic nop), not fall
@@ -94,7 +124,7 @@ def rewrite_endbr_sites(binary, *, cet: bool | None):
     only a CET refusal can make a site fail)."""
     elf = ElfFile(binary.data)
     instructions = disassemble_text(elf)
-    sites = [i for i in instructions if is_endbr64_insn(i)]
+    sites = [i for i in instructions if is_endbr64(i)]
     assert sites
     ctx = RewriteContext(elf=elf, instructions=instructions, options=RewriteOptions(
         mode="loader", cet=cet,
@@ -128,7 +158,7 @@ class TestTacticRefusals:
         elf = ElfFile(binary.data)
         instructions = disassemble_text(elf)
         jumps = [i for i in instructions
-                 if match_jumps(i) and not is_endbr64_insn(i)]
+                 if match_jumps(i) and not is_endbr64(i)]
         for cet in (True, False):
             ctx = RewriteContext(elf=elf,
                                  options=RewriteOptions(mode="loader", cet=cet),
@@ -136,6 +166,30 @@ class TestTacticRefusals:
             result = ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
                                   for i in jumps])
             assert result.stats.success_pct == 100.0
+
+
+def pad_program(pad: bytes) -> bytes:
+    """A CET-marked static executable whose text is *pad*, then exit."""
+    prog = TinyProgram(cet_note=True)
+    prog.text.raw(pad)
+    prog.emit_exit(0)
+    return prog.build()
+
+
+class TestPrefixedPads:
+    @pytest.mark.parametrize("pad", PREFIXED_PADS + [ENDBR64],
+                             ids=["rex.W", "data16", "plain"])
+    def test_cet_rewrite_refuses_pad_and_lints_clean(self, pad):
+        """The tactics refuse every landing pad the linter knows, so a
+        CET rewrite that asks for one fails that site instead of
+        clobbering it, and lint passes."""
+        data = pad_program(pad)
+        entry = ElfFile(data).entry
+        report = instrument_elf(data, 'mnemonic == "sse"',
+                                options=RewriteOptions(cet=True, lint=True))
+        assert report.n_sites == 1
+        assert entry in report.result.plan.failures
+        assert ElfFile(report.result.data).read_vaddr(entry, len(pad)) == pad
 
 
 class TestLintEscalation:

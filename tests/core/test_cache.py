@@ -43,6 +43,7 @@ def test_fingerprint_is_stable_hex():
 
 
 @pytest.mark.parametrize("name", [
+    "repro.x86.tables",  # the opcode rows: every decoded field
     "repro.x86.fastscan",  # a stream's start offsets and candidate bits
     "repro.x86.flow",  # is_heap_write: the heap-writes matcher's sites
     "repro.elf.symbols",  # function ranges: the symbols frontend's extents

@@ -128,6 +128,17 @@ class TestEvaluation:
         assert compile_matcher("mem-read")(LOAD)
         assert not compile_matcher("mem-read")(STORE)
 
+    def test_movq_xmm_load_is_a_read(self):
+        """F3 0F 7E is ``movq (%rax),%xmm0``, a load; 66 0F 7E (movd
+        %xmm0,(%rax)) shares the opcode and stores."""
+        load = d("f3 0f 7e 00")
+        assert compile_matcher("mem-read")(load)
+        assert not compile_matcher("mem-write")(load)
+        assert not compile_matcher("heap-writes")(load)
+        store = d("66 0f 7e 00")
+        assert compile_matcher("mem-write")(store)
+        assert not compile_matcher("mem-read")(store)
+
     @given(st.sampled_from(["jumps", "heap-writes", "calls", "all"]))
     def test_barewords_match_registry(self, name):
         from repro.frontend.matchers import MATCHERS

@@ -38,6 +38,11 @@ class TestLengths:
         ("48 8b 05 10 00 00 00", 7, "mov"),  # rip-relative
         ("48 8d 44 88 08", 5, "lea"),  # SIB with index
         ("66 90", 2, "nop"),
+        ("48 90", 2, "nop"),  # rex.W nop
+        ("41 90", 2, "xchg"),  # xchg %eax,%r8d: REX.B names r8
+        ("f3 90", 2, "pause"),
+        ("f3 41 90", 3, "pause"),  # objdump's reading
+        ("f3 0f 7e 00", 4, "movq"),  # movq (%rax),%xmm0
         ("0f 1f 84 00 00 00 00 00", 8, "nop"),
         ("f3 0f 1e fa", 4, "sse"),  # endbr64
         ("f2 48 0f 38 f1 c8", 6, "op0f38"),  # crc32
@@ -216,6 +221,10 @@ class TestWriteDetection:
 
     def test_xchg_writes(self):
         assert d("48 87 03").writes_rm
+
+    def test_movq_xmm_load_does_not_write(self):
+        assert not d("f3 0f 7e 03").writes_rm  # movq (%rbx),%xmm0
+        assert d("66 0f 7e 03").writes_rm  # movd %xmm0,(%rbx)
 
 
 class TestErrors:

@@ -1,11 +1,11 @@
 """Differential tests: the fast-path decoder against the reference.
 
 ``repro.x86.decoder.decode`` is a table-dispatched fast path;
-``decode_reference`` is the original straight-line implementation kept
-as an oracle.  Both must agree *exactly* — every public field and, for
-rejected input, the error message — on real compiled code and on
-arbitrary byte soup.  INTERNALS.md §7 documents the fast path; this
-file is its safety net.
+``decode_reference`` (``tests/x86/reference_decoder.py``) is the
+original straight-line implementation kept as an oracle.  Both must
+agree *exactly* — every public field and, for rejected input, the
+error message — on real compiled code and on arbitrary byte soup.
+INTERNALS.md §7 documents the fast path; this file is its safety net.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DecodeError
-from repro.x86.decoder import decode, decode_all, decode_reference
+from repro.x86.decoder import decode, decode_all
 from repro.x86.insn import _FIELDS
 from tests.conftest import requires_gcc, requires_objdump
+from tests.x86.reference_decoder import decode_reference
 from tests.x86.test_decoder_objdump import objdump_instructions
 
 

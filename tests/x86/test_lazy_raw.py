@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pickle
 
-from repro.x86.decoder import decode, decode_buffer, decode_reference
+from repro.x86.decoder import decode, decode_buffer
+from tests.x86.reference_decoder import decode_reference
 
 
 def test_raw_is_lazy_until_accessed():

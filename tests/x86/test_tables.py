@@ -15,10 +15,8 @@ class TestOneByteMap:
             # +6/+7 are invalid in 64-bit (or absent for 0x3E/0x3F area).
 
     def test_cmp_never_writes(self):
-        from repro.x86.tables import F_WRITES_RM
-
         for op in (0x38, 0x39, 0x3A, 0x3B, 0x3C, 0x3D):
-            assert not tables.ONE_BYTE[op].flags & F_WRITES_RM
+            assert not tables.ONE_BYTE[op].effects.rm_w
 
     def test_jcc_range(self):
         for op in range(0x70, 0x80):
@@ -53,21 +51,54 @@ class TestOneByteMap:
         for byte in (0x62, 0xC4, 0xC5):  # EVEX/VEX
             assert byte not in tables.ONE_BYTE
 
-    def test_group_writes_reference_real_groups(self):
-        from repro.x86.tables import F_GROUP_WRITE
-
-        for key in tables.GROUP_WRITES:
-            opcode = key & 0xFF
-            table = tables.TWO_BYTE if key > 0xFF else tables.ONE_BYTE
-            assert opcode in table, hex(key)
-            assert table[opcode].flags & F_GROUP_WRITE, hex(key)
-
     def test_every_group_write_opcode_has_entry(self):
-        from repro.x86.tables import F_GROUP_WRITE
+        """A group row's mnemonic or effects is indexed by ModRM.reg, so
+        it must have a ModRM byte and one entry per ModRM.reg value."""
+        for table in (tables.ONE_BYTE, tables.TWO_BYTE):
+            for op, spec in table.items():
+                for field in (spec.mnemonic, spec.effects):
+                    if isinstance(field, tuple):
+                        assert spec.modrm and len(field) == 8, hex(op)
 
-        for op, spec in tables.ONE_BYTE.items():
-            if spec.flags & F_GROUP_WRITE:
-                assert op in tables.GROUP_WRITES, hex(op)
+    def test_group_writes_reference_real_groups(self):
+        """The opcodes whose r/m write depends on ModRM.reg, and the
+        ModRM.reg values that write."""
+        found = {}
+        for key, table in ((0, tables.ONE_BYTE), (0x0F00, tables.TWO_BYTE)):
+            for op, spec in table.items():
+                if isinstance(spec.effects, tuple):
+                    writes = {r for r, e in enumerate(spec.effects) if e.rm_w}
+                    if 0 < len(writes) < 8:
+                        found[key | op] = writes
+        assert found == {
+            0x80: {0, 1, 2, 3, 4, 5, 6}, 0x81: {0, 1, 2, 3, 4, 5, 6},
+            0x83: {0, 1, 2, 3, 4, 5, 6},  # /7 is cmp
+            0xF6: {2, 3}, 0xF7: {2, 3},  # not, neg
+            0xFE: {0, 1}, 0xFF: {0, 1},  # inc, dec
+            0xD9: {2, 3, 6, 7}, 0xDB: {1, 2, 3, 7},  # x87 stores
+            0xDD: {1, 2, 3, 6, 7}, 0xDF: {1, 2, 3, 6, 7},
+            0x0FBA: {5, 6, 7},  # bts/btr/btc imm forms
+            0x0FC7: {1},  # cmpxchg8b/16b
+        }
+
+    def test_operand_effects_need_modrm(self):
+        """An effect template that reads or writes a ModRM operand sits
+        on a row with a ModRM byte."""
+        for table in (tables.ONE_BYTE, tables.TWO_BYTE):
+            for op, spec in table.items():
+                effects = spec.effects
+                for e in effects if isinstance(effects, tuple) else (effects,):
+                    if e.known and (e.rm_r or e.rm_w or e.reg_r or e.reg_w):
+                        assert spec.modrm, hex(op)
+
+    def test_rex_b_rows_keep_layout(self):
+        """REX.B swaps 90's name and effects, never its length (the
+        vectorized scan reads the plain one-byte rows only)."""
+        for op, row in tables.REX_B_ROWS.items():
+            plain = tables.ONE_BYTE[op]
+            assert (row.modrm, row.imm, row.flow, row.flags) == (
+                plain.modrm, plain.imm, plain.flow, plain.flags)
+        assert tables.REX_B_ROWS[0x90].mnemonic == "xchg"
 
 
 class TestTwoByteMap:
@@ -78,12 +109,10 @@ class TestTwoByteMap:
             assert spec.imm == Imm.REL32
 
     def test_setcc_range_writes(self):
-        from repro.x86.tables import F_WRITES_RM
-
         for op in range(0x90, 0xA0):
             spec = tables.two_byte_spec(op)
             assert spec.modrm
-            assert spec.flags & F_WRITES_RM
+            assert spec.effects.rm_w
 
     def test_default_spec_for_unlisted(self):
         spec = tables.two_byte_spec(0x51)  # sqrtps: generic SSE
