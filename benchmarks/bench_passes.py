@@ -1,8 +1,9 @@
 """Per-pass timing smoke bench with a machine-readable result file.
 
 Runs the staged pipeline over a mid-sized synthetic binary four ways —
-single rewrite, verified rewrite, 3-config batch, cold-vs-warm artifact
-cache — prints the per-pass wall-time breakdown, records the source
+single rewrite, linted rewrite (the ``verified`` section), 3-config
+batch, cold-vs-warm artifact cache — prints the per-pass wall-time
+breakdown, records the source
 size (``src.loc``: physical lines of ``src/repro/**/*.py``), and writes
 every measurement as JSON (default ``benchmarks/out/BENCH_passes.json``,
 schema ``repro-bench/1``).
@@ -56,7 +57,7 @@ def section(title: str, obs: Observer) -> None:
     interesting = ("decode.instructions", "match.sites", "plan.sites",
                    "plan.trampoline_bytes", "plan.alloc_probes",
                    "group.physical_bytes", "emit.output_bytes",
-                   "verify.sites")
+                   "lint.sites")
     for name in interesting:
         if name in obs.counters:
             print(f"  {name} = {obs.counters[name]}")
@@ -325,13 +326,13 @@ def main(argv: list[str] | None = None) -> int:
     obs = Observer()
     t0 = time.perf_counter()
     instrument_elf(binary.data, "jumps",
-                   options=RewriteOptions(mode="loader", verify=True),
+                   options=RewriteOptions(mode="loader", lint=True),
                    observer=obs)
     metrics["verified.total_s"] = time.perf_counter() - t0
-    metrics["verified.verify_s"] = obs.timings.get("verify", 0.0)
-    if obs.counters.get("verify.sites", 0) == 0:
-        failures.append("verify pass checked no sites")
-    section("verified rewrite", obs)
+    metrics["verified.lint_s"] = obs.timings.get("lint", 0.0)
+    if obs.counters.get("lint.sites", 0) == 0:
+        failures.append("lint pass checked no sites")
+    section("linted rewrite", obs)
 
     obs = Observer()
     t0 = time.perf_counter()

@@ -38,7 +38,9 @@ the report) when any error-severity finding exists.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.analysis.facts import is_endbr64
 from repro.core.pipeline import PipelinePass, RewriteContext
@@ -139,13 +141,18 @@ class _OutputImage:
     Original-image and phdr-mode trampoline addresses resolve through the
     output's PT_LOAD table; loader-mode trampoline blocks have no
     file-backed PT_LOAD (the stub mmaps them at runtime), so those reads
-    go through the pipeline's recorded ``blob_maps``.
+    go through the pipeline's recorded ``blob_maps``.  Both are merged
+    once into one extent list sorted by vaddr (emitted extents are
+    disjoint), so a read bisects instead of scanning every map.
     """
 
     def __init__(self, output: bytes,
                  blob_maps: list[tuple[int, int, int]]) -> None:
-        self.elf = ElfFile(output)
-        self.maps = blob_maps
+        loads = [(p.vaddr, p.filesz, p.offset) for p in ElfFile(output).phdrs
+                 if p.type == elfc.PT_LOAD and p.filesz]
+        self.extents = sorted([*blob_maps, *loads])
+        self.starts = [base for base, _, _ in self.extents]
+        self.data = output
 
     def read(self, vaddr: int, size: int) -> bytes | None:
         # Piecewise: a trampoline may straddle two adjacent block
@@ -153,26 +160,18 @@ class _OutputImage:
         # grouped loader maps each block separately).
         out = bytearray()
         while len(out) < size:
-            chunk = self._read_some(vaddr + len(out), size - len(out))
-            if not chunk:
+            at = vaddr + len(out)
+            i = bisect_right(self.starts, at) - 1
+            if i < 0:
+                return None
+            base, msize, off = self.extents[i]
+            avail = min(size - len(out), base + msize - at)
+            lo = off + (at - base)
+            chunk = self.data[lo : lo + avail]
+            if avail <= 0 or len(chunk) != avail:
                 return None
             out += chunk
         return bytes(out)
-
-    def _read_some(self, vaddr: int, size: int) -> bytes | None:
-        for base, msize, off in self.maps:
-            if base <= vaddr < base + msize:
-                avail = min(size, base + msize - vaddr)
-                lo = off + (vaddr - base)
-                chunk = self.elf.data[lo : lo + avail]
-                return bytes(chunk) if len(chunk) == avail else None
-        for p in self.elf.phdrs:
-            if p.type == elfc.PT_LOAD and p.vaddr <= vaddr < p.vaddr + p.filesz:
-                avail = min(size, p.vaddr + p.filesz - vaddr)
-                lo = p.offset + (vaddr - p.vaddr)
-                chunk = self.elf.data[lo : lo + avail]
-                return bytes(chunk) if len(chunk) == avail else None
-        return None
 
 
 def _parse_tag(tag: str) -> tuple[str, int] | None:
@@ -192,15 +191,17 @@ def lint_context(ctx: RewriteContext) -> LintReport:
         raise PatchError("lint needs an emitted context (plan + output)")
     report = LintReport()
     img = _OutputImage(ctx.output, ctx.blob_maps)
-    by_addr = {i.address: i for i in (ctx.instructions or ())}
+    # The planner's bisect index: lint's cost follows the patch count,
+    # not the size of the instruction stream.
+    insn_at = ctx.tactics.insn_at
 
     _check_layout(ctx, report)
     for patch in ctx.plan.patches:
-        _check_site(ctx, img, by_addr, patch, report)
+        _check_site(ctx, img, insn_at, patch, report)
         report.sites_checked += 1
     for patch in ctx.plan.patches:
         for tramp in patch.trampolines:
-            _check_trampoline(img, by_addr, tramp, report, cet=ctx.cet)
+            _check_trampoline(img, insn_at, tramp, report, cet=ctx.cet)
             report.trampolines_checked += 1
     return report
 
@@ -238,10 +239,10 @@ def _check_layout(ctx: RewriteContext, report: LintReport) -> None:
 
 
 def _check_site(ctx: RewriteContext, img: _OutputImage,
-                by_addr: dict[int, Instruction], patch,
+                insn_at: Callable[[int], Instruction | None], patch,
                 report: LintReport) -> None:
     site = patch.site
-    original = by_addr.get(site)
+    original = insn_at(site)
     if original is not None and is_endbr64(original):
         # In CET mode this is a rewriter bug (the tactics refuse these
         # sites); for non-CET inputs it stays advisory.
@@ -315,14 +316,15 @@ def _check_site(ctx: RewriteContext, img: _OutputImage,
 # -- trampolines -------------------------------------------------------------
 
 
-def _check_trampoline(img: _OutputImage, by_addr: dict[int, Instruction],
+def _check_trampoline(img: _OutputImage,
+                      insn_at: Callable[[int], Instruction | None],
                       tramp: Trampoline, report: LintReport,
                       *, cet: bool = False) -> None:
     parsed = _parse_tag(tramp.tag)
     if parsed is None:
         return  # runtime blobs and legacy tags: nothing to re-derive
     kind, addr = parsed
-    insn = by_addr.get(addr)
+    insn = insn_at(addr)
     if insn is None:
         report.findings.append(Finding(
             severity="error", check="replay", vaddr=tramp.vaddr,

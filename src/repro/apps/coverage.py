@@ -53,9 +53,10 @@ class CoverageInstrumenter:
         for index, insn in enumerate(sites):
             slot_vaddr = map_vaddr + index * SLOT_SIZE
             slots[insn.address] = slot_vaddr
-            requests.append(
-                PatchRequest(insn=insn, instrumentation=Counter(slot_vaddr))
-            )
+            # ET_DYN images relocate: the counter access must be
+            # rip-relative (see _resolve_instrumentation in the CLI).
+            counter = Counter(slot_vaddr, pic=base.elf.is_pie)
+            requests.append(PatchRequest(insn=insn, instrumentation=counter))
         result = ctx.rewrite(requests)
         return InstrumentedBinary(
             result=result, map_vaddr=map_vaddr, slots=slots
@@ -78,8 +79,9 @@ class InstrumentedBinary:
         """Execute in the VM and collect the map."""
         machine = Machine(self.data, **machine_kwargs)
         run = machine.run()
+        base = machine.load_base  # slots are link-time vaddrs
         counts = {
-            site: machine.mem.read_u64(slot)
+            site: machine.mem.read_u64(base + slot)
             for site, slot in self.slots.items()
         }
         return CoverageReport(run=run, counts=counts)

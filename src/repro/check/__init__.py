@@ -1,6 +1,6 @@
 """Semantic-equivalence checking: the standing behavioural oracle.
 
-The structural :class:`~repro.core.pipeline.VerifyPass` only proves the
+The static linter (:mod:`repro.analysis.lint`) only proves the
 rewriter produced well-formed bytes; the broad rewriter surveys show
 that real rewriters fail on *behaviour*, not on byte shape.  This
 subpackage wires the two halves the repo already owns — the

@@ -123,6 +123,8 @@ def options_to_dict(options: RewriteOptions) -> dict:
 
 def options_from_dict(d: dict) -> RewriteOptions:
     d = dict(d)
+    # Artifacts written before lint absorbed verify carry its flag.
+    d["lint"] = d.get("lint", False) or d.pop("verify", False)
     d["toggles"] = TacticToggles(**d.get("toggles", {}))
     d["reserve_extra"] = tuple(
         tuple(pair) for pair in d.get("reserve_extra", ())

@@ -21,7 +21,6 @@ from repro.core.pipeline import (
     RewriteContext,
     RewriteOptions,
     RewriteResult,
-    VerifyPass,
 )
 from repro.core.stats import PatchStats
 from repro.core.tactics import Tactic
@@ -40,5 +39,4 @@ __all__ = [
     "PlanPass",
     "GroupPass",
     "EmitPass",
-    "VerifyPass",
 ]

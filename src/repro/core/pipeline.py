@@ -15,11 +15,12 @@ artifacts).  The passes are
 * :class:`GroupPass`    — emission-mode resolution + physical page
   grouping of the planned trampolines;
 * :class:`EmitPass`     — ELF emission (phdr or loader mode);
-* :class:`VerifyPass`   — optional: re-decode every patched site and
-  check its jump lands in a trampoline or back inside the image.
+* :class:`~repro.analysis.lint.LintPass` — optional: the one post-emit
+  static check (:mod:`repro.analysis.lint`);
+* :class:`EquivalencePass` — optional: the VM differential check.
 
 :meth:`RewriteContext.rewrite` runs the post-match sequence — plan,
-group, emit, then the lint/verify/equivalence checks the options ask
+group, emit, then the lint and equivalence checks the options ask
 for — and is the one place that order is written.  Every pass runs
 under the context's :class:`~repro.core.observe.Observer` (wall-time,
 counters, trace hooks).  Like E9Patch itself, the rewriter does not
@@ -52,10 +53,8 @@ from repro.elf.dynamic import find_init_target, retarget_init
 from repro.elf.loader import Mapping, build_loader, loader_size_estimate
 from repro.elf.reader import ElfFile
 from repro.elf.writer import AppendedSegment, ElfRewriter
-from repro.errors import DecodeError, PatchError
-from repro.x86.decoder import decode
+from repro.errors import PatchError
 from repro.x86.insn import Instruction
-from repro.x86.tables import Flow
 
 
 @dataclass
@@ -81,11 +80,9 @@ class RewriteOptions:
     # default — see AddressSpace.pack_pages for why packing *loses* to
     # physical page grouping.
     pack_allocations: bool = False
-    # Run VerifyPass after emission: re-decode every patched site and
-    # check the rewritten jump has somewhere to land.
-    verify: bool = False
-    # Run EquivalencePass after VerifyPass: execute original and output
-    # on the VM and compare observable behaviour (see repro.check).
+    # Run EquivalencePass after emission (and lint): execute original
+    # and output on the VM and compare observable behaviour (see
+    # repro.check).
     check: bool = False
     # Bind a backward-liveness analysis (repro.analysis.liveness) to every
     # instrumentation body before planning, letting trampolines drop
@@ -292,15 +289,13 @@ class RewriteContext:
 
     def rewrite(self, requests: list[PatchRequest]) -> RewriteResult:
         """Plan *requests*, group and emit, then run the checks the
-        options ask for (lint, verify, equivalence, in that order)."""
+        options ask for (lint, then equivalence)."""
         passes = [PlanPass(requests), GroupPass(), EmitPass()]
         if self.options.lint:
             # Local import: the lint layer imports this module back.
             from repro.analysis.lint import LintPass
 
             passes.append(LintPass())
-        if self.options.verify:
-            passes.append(VerifyPass())
         if self.options.check:
             passes.append(EquivalencePass())
         for p in passes:
@@ -649,64 +644,6 @@ class EmitPass(PipelinePass):
         ctx.pending_reservation = []
 
 
-class VerifyPass(PipelinePass):
-    """Re-decode the bytes written at every patched site and check the
-    rewritten jump has somewhere meaningful to land: a trampoline extent
-    (B1/B2/T1/T2) or a punned jump inside the image (T3's ``jmp rel8``
-    into a victim's interior)."""
-
-    name = "verify"
-
-    #: How many bytes to re-decode at a site (longest padded jump).
-    WINDOW = 16
-
-    def execute(self, ctx: RewriteContext) -> None:
-        if ctx.plan is None or ctx.image is None:
-            raise PatchError("VerifyPass needs a planned, emitted context")
-        extents = IntervalSet()
-        for tramp in ctx.trampolines:
-            extents.add(tramp.vaddr, tramp.vaddr + len(tramp.code))
-
-        checked = 0
-        for patch in ctx.plan.patches:
-            site = patch.site
-            raw = self._read_site(ctx, site)
-            if patch.tactic == Tactic.B0:
-                if raw[:1] != b"\xcc":
-                    raise PatchError(
-                        f"verify: B0 site {site:#x} is not int3"
-                    )
-                checked += 1
-                continue
-            try:
-                insn = decode(raw, address=site)
-            except DecodeError as exc:
-                raise PatchError(
-                    f"verify: patched site {site:#x} fails to decode: {exc}"
-                ) from exc
-            if insn.flow != Flow.JMP or insn.target is None:
-                raise PatchError(
-                    f"verify: patched site {site:#x} is not a direct jump "
-                    f"({insn.mnemonic})"
-                )
-            target = insn.target
-            in_trampoline = extents.contains(target, target + 1)
-            in_image = ctx.image.readable(target, 1)
-            if not (in_trampoline or in_image):
-                raise PatchError(
-                    f"verify: jump at {site:#x} targets {target:#x}, "
-                    "outside every trampoline and the image"
-                )
-            checked += 1
-        ctx.observer.count("verify.sites", checked)
-
-    def _read_site(self, ctx: RewriteContext, site: int) -> bytes:
-        for length in (self.WINDOW, 8, 6, 5, 2, 1):
-            if ctx.image.readable(site, length):
-                return ctx.image.read(site, length)
-        raise PatchError(f"verify: site {site:#x} is outside the image")
-
-
 class EquivalencePass(PipelinePass):
     """Semantic check: run the original and the emitted output on the VM
     (:mod:`repro.check.oracle`) and compare observable behaviour — exit
@@ -736,11 +673,9 @@ class EquivalencePass(PipelinePass):
         watched = (ctx.sites if ctx.sites is not None
                    else [r.insn for r in (ctx.requests or ())])
         sites = frozenset(i.address for i in watched)
-        by_addr = {i.address: i for i in (ctx.instructions or ())}
-        traps = {
-            site: bytes(by_addr[site].raw)
-            for site in ctx.b0_sites if site in by_addr
-        }
+        insn_at = ctx.tactics.insn_at
+        traps = {site: bytes(insn.raw) for site in ctx.b0_sites
+                 if (insn := insn_at(site)) is not None}
         # A shared object is entered through its init hook (dlopen-style)
         # — the rewritten image only maps its trampolines once the loader
         # stub installed over DT_INIT has run; e_entry would skip it.

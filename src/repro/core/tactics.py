@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.errors import PatchError
+from repro.errors import EncodeError, PatchError
 from repro.core.allocator import AddressSpace
 from repro.core.binary import CodeImage
 from repro.core.puns import PunWindow, pun_windows, short_jump_spec
@@ -191,13 +191,19 @@ def _place_trampoline(
     tag: str,
 ) -> Trampoline | None:
     """Allocate and encode *insn*'s trampoline with its start in
-    ``[lo, hi)``; None (with nothing left allocated) on failure."""
+    ``[lo, hi)`` and in the body's reach; None (with nothing left
+    allocated) on failure."""
+    reach = instr.reach(insn)
+    if reach is not None:
+        lo, hi = max(lo, reach[0]), min(hi, reach[1])
+        if lo >= hi:
+            return None
     t = ctx.space.allocate(lo, hi, size, tag)
     if t is None:
         return None
     try:
         code = build_trampoline(insn, instr, t, size, ctx.inject_bug)
-    except PatchError:
+    except (PatchError, EncodeError):  # e.g. an out-of-reach rel32
         ctx.space.release(t, size)
         return None
     return Trampoline(vaddr=t, code=code, tag=tag)

@@ -135,6 +135,11 @@ class Instrumentation:
         self.emit(probe, insn)
         return len(probe.bytes())
 
+    def reach(self, insn: Instruction) -> tuple[int, int] | None:
+        """Half-open range of trampoline starts from which the body's
+        rip-relative reference encodes, or None when any start does."""
+        return None
+
     def saved_cost(self, insn: Instruction) -> tuple[int, int]:
         """(bytes, register save/restore pairs) trimmed at this site by
         the bound liveness, relative to the liveness-blind encoding."""
@@ -205,17 +210,27 @@ class Counter(Instrumentation):
                 return (reg, False, not live.flags_are_dead(_INC_FLAGS))
         return (enc.RAX, True, not live.flags_are_dead(_INC_FLAGS))
 
+    def _pic_saves_flags(self, insn: Instruction) -> bool:
+        live = self.site_liveness(insn)
+        return live is None or not live.flags_are_dead(_INC_FLAGS)
+
     def _saved_reg_count(self, insn: Instruction) -> int:
         if self.pic:
             return 0
         _, save_reg, _ = self._site_plan(insn)
         return 1 if save_reg else 0
 
+    def reach(self, insn: Instruction) -> tuple[int, int] | None:
+        if not self.pic:
+            return None
+        # The incq's rel32 counts from its end: 13 bytes into the body
+        # behind the red-zone lea and pushfq, 7 bytes in without them.
+        at = self.counter_vaddr - (13 if self._pic_saves_flags(insn) else 7)
+        return (at - (1 << 31) + 1, at + (1 << 31) + 1)
+
     def emit(self, asm: enc.Assembler, insn: Instruction) -> None:
         if self.pic:
-            live = self.site_liveness(insn)
-            save_flags = (live is None
-                          or not live.flags_are_dead(_INC_FLAGS))
+            save_flags = self._pic_saves_flags(insn)
             if save_flags:
                 asm.raw(b"\x48\x8d\x64\x24\x80")  # lea -0x80(%rsp), %rsp
                 asm.pushfq()

@@ -20,8 +20,8 @@ path may consult ``os.environ`` or module globals.
   byte-identical outputs to N serial one-shot runs.
 
 :func:`options_from_dict` converts the JSON-level options object used
-by the service API (and mirroring the JSON-RPC ``options`` method of
-:mod:`repro.frontend.protocol`) into a typed
+by the service API and the JSON-RPC ``options`` method of
+:mod:`repro.frontend.protocol` into a typed
 :class:`~repro.core.pipeline.RewriteOptions`.
 """
 
@@ -38,7 +38,8 @@ from repro.frontend.tool import InstrumentReport, instrument_elf
 
 __all__ = ["EngineConfig", "RewriteEngine", "options_from_dict"]
 
-#: JSON option keys accepted by :func:`options_from_dict`.
+#: JSON option keys accepted by :func:`options_from_dict` (``verify``
+#: is a spelling of ``lint``, the one post-emit static check).
 _OPTION_KEYS = frozenset({
     "mode", "grouping", "granularity", "shared",
     "library_path", "pack_allocations", "verify", "check",
@@ -72,10 +73,9 @@ def options_from_dict(params: dict) -> RewriteOptions:
         shared=bool(params.get("shared", False)),
         library_path=params.get("library_path"),
         pack_allocations=bool(params.get("pack_allocations", False)),
-        verify=bool(params.get("verify", False)),
         check=bool(params.get("check", False)),
         liveness=bool(params.get("liveness", False)),
-        lint=bool(params.get("lint", False)),
+        lint=bool(params.get("lint", False) or params.get("verify", False)),
         toggles=toggles,
     )
 

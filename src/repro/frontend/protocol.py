@@ -9,7 +9,9 @@ third-party frontends (or tests) can drive the rewriter the same way.
 Methods, in the order a session normally uses them:
 
 ``binary``      ``{"filename": ..., "data": <base64>}`` (one of the two)
-``options``     rewrite options: mode / grouping / granularity / tactics
+``options``     rewrite options: the JSON options object of
+                :func:`repro.frontend.engine.options_from_dict` (mode
+                defaults to ``loader``)
 ``trampoline``  register a named trampoline template (see
                 :mod:`repro.core.templates`); parameters are bound per
                 patch request
@@ -35,9 +37,10 @@ from typing import Any
 
 from repro.errors import PatchError, ReproError
 from repro.core.pipeline import RewriteContext, RewriteOptions
-from repro.core.strategy import PatchRequest, TacticToggles
+from repro.core.strategy import PatchRequest
 from repro.core.templates import BUILTIN_TEMPLATES, TrampolineTemplate, load_template
 from repro.elf.reader import ElfFile
+from repro.frontend.engine import options_from_dict
 from repro.frontend.lineardisasm import disassemble_text
 from repro.frontend.partial import decode_windows
 
@@ -134,19 +137,10 @@ class E9PatchSession:
         }
 
     def _do_options(self, params: dict[str, Any]) -> dict[str, Any]:
-        toggles = TacticToggles(
-            t1=params.get("t1", True),
-            t2=params.get("t2", True),
-            t3=params.get("t3", True),
-            b0_fallback=params.get("b0", False),
-        )
-        self.options = RewriteOptions(
-            mode=params.get("mode", "loader"),
-            grouping=params.get("grouping", True),
-            granularity=params.get("granularity", 1),
-            shared=params.get("shared", False),
-            toggles=toggles,
-        )
+        try:  # the service's JSON options, with the protocol's default mode
+            self.options = options_from_dict({"mode": "loader", **params})
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"bad options: {exc}") from exc
         return {"ok": True}
 
     def _do_trampoline(self, params: dict[str, Any]) -> dict[str, Any]:

@@ -416,18 +416,13 @@ def main(argv: list[str] | None = None) -> int:
         "cumulative time to stderr (default N: 15)",
     )
     parser.add_argument(
-        "--verify", action="store_true",
-        help="run the verification pass: re-decode every patched site "
-        "and check its jump target",
-    )
-    parser.add_argument(
         "--liveness", action=argparse.BooleanOptionalAction, default=False,
         help="liveness-driven trampoline slimming: drop register/flag "
         "save-restore pairs the backward analysis proves dead at each "
         "patch site (default: off)",
     )
     parser.add_argument(
-        "--lint", action="store_true",
+        "--lint", "--verify", action="store_true",
         help="run the rewrite-plan linter after emission: statically "
         "re-derive site jump chains, trampoline layout/image bytes, "
         "replay equivalence, and jump-back targets (exit 1 on any "
@@ -519,7 +514,6 @@ def main(argv: list[str] | None = None) -> int:
         shared=args.shared,
         library_path=library_path,
         cet=args.cet,
-        verify=args.verify,
         liveness=args.liveness,
         lint=args.lint,
     )

@@ -82,18 +82,21 @@ _D1, _D2, _D38, _D3A = (
 
 
 @cache
-def _vex_entry(opmap: int, opcode: int):
-    """The entry of a VEX/EVEX opcode.  Its REL32 immediate kind (map 1,
-    80-8F) decodes as IZ: the same size, but VEX immediates are not
-    sign-extended."""
+def _vex_entry(opmap: int, opcode: int, pp: int):
+    """The entry of a VEX/EVEX opcode under the pp bits *pp*.  Its REL32
+    immediate kind (map 1, 80-8F) decodes as IZ: the same size, but VEX
+    immediates are not sign-extended."""
     has_modrm = (opmap, opcode) not in tables.VEX_NO_MODRM
     kind = tables.vex_imm_kind(opmap, opcode)
     if kind is Imm.REL32:
         kind = Imm.IZ
+    # VEX.F3.0F 7E is vmovq xmm, xmm/m64, a load: the VEX twin of the
+    # legacy F3 0F 7E rule in decode.
+    writes = ((opmap, opcode) in tables.VEX_STORES
+              and (opmap, opcode, pp) != (1, 0x7E, 2))
     return (
         f"vex.m{opmap}.{opcode:02x}" if has_modrm else "vzeroupper",
-        has_modrm, kind.value, Flow.NONE, 0,
-        opmap == 1 and opcode in tables.VEX_MAP1_STORES, None,
+        has_modrm, kind.value, Flow.NONE, 0, writes, None,
     )
 
 
@@ -157,7 +160,7 @@ def decode(data: bytes, offset: int = 0, address: int | None = None) -> Instruct
         pos += size
         opcode = data[pos]
         pos += 1
-        entry = _vex_entry(opmap, opcode)
+        entry = _vex_entry(opmap, opcode, vex[1 if b == 0xC5 else 2] & 3)
         rep = False
     else:
         if cls == _REX:

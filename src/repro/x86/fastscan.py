@@ -45,8 +45,8 @@ from repro.x86.insn import Instruction
 from repro.x86.tables import (
     F_INVALID64,
     F_STRING_WRITE,
-    VEX_MAP1_STORES,
     VEX_NO_MODRM,
+    VEX_STORES,
     Flow,
     Imm,
     vex_imm_kind,
@@ -187,7 +187,8 @@ def _one_byte_tables(plain):
 def _vex_table():
     """Per ``(map << 8) | opcode`` of VEX/EVEX: the immediate word,
     ``_VMODRM`` and SB_WRITE, from ``tables.vex_imm_kind``,
-    ``VEX_NO_MODRM`` and ``VEX_MAP1_STORES``."""
+    ``VEX_NO_MODRM`` and ``VEX_STORES`` (may-write under every pp: the
+    bits are supersets, so 7E's F3 load keeps the bit)."""
     maps = _np.arange(32).repeat(256).tolist()
     kinds = map(vex_imm_kind, maps, list(range(256)) * 32)
     ids = _np.fromiter(map(id, kinds), _np.int64, len(maps))
@@ -197,7 +198,8 @@ def _vex_table():
     table = table.reshape(32, 256)
     for mp, op in VEX_NO_MODRM:
         table[mp, op] ^= _VMODRM
-    table[1, sorted(VEX_MAP1_STORES)] |= SB_WRITE << _SB
+    for mp, op in VEX_STORES:
+        table[mp, op] |= SB_WRITE << _SB
     return table.ravel()
 
 

@@ -593,9 +593,18 @@ def legacy_rows(opmap: int) -> list[OpSpec | None]:
 # VEX/EVEX.
 # ---------------------------------------------------------------------------
 
-# VEX/EVEX map-1 opcodes whose r/m operand is the destination (the
-# vmovups/vmovlps/vmovhps/vmovaps/vmovntps/vmovdqa/vmovq/vmovntdq stores).
-VEX_MAP1_STORES = frozenset({0x11, 0x13, 0x17, 0x29, 0x2B, 0x7F, 0xD6, 0xE7})
+# (map, opcode) pairs of VEX/EVEX stores, whose r/m operand is the
+# destination: map 1's vmovups/vmovlps/vmovhps/vmovaps/vmovntps/vmovd/
+# vmovq/vmovdqa/vmovntdq (7E only without F3: VEX.F3.0F 7E is a vmovq
+# load, which decode tells from the pp bits); map 2's vmaskmovps/pd and
+# vpmaskmovd/q; map 3's vpextrb/w/d/q, vextractps, vextractf128,
+# vcvtps2ph and vextracti128.
+VEX_STORES = frozenset(
+    [(1, op) for op in (0x11, 0x13, 0x17, 0x29, 0x2B, 0x7E, 0x7F, 0xD6,
+                        0xE7)]
+    + [(2, op) for op in (0x2E, 0x2F, 0x8E)]
+    + [(3, op) for op in (0x14, 0x15, 0x16, 0x17, 0x19, 0x1D, 0x39)]
+)
 
 # (map, opcode) pairs of VEX/EVEX instructions without a ModRM byte:
 # vzeroupper/vzeroall.

@@ -6,17 +6,20 @@ import random
 
 import pytest
 
-from repro.analysis.lint import LintError, lint_context
+from repro.analysis.lint import LintError, _OutputImage, lint_context
 from repro.check.campaign import _draw_params, synthesize
 from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.tactics import Tactic
 from repro.core.trampoline import Empty
+from repro.elf import constants as elfc
 from repro.elf.builder import TinyProgram
 from repro.elf.reader import ElfFile
 from repro.frontend.lineardisasm import disassemble_text
-from repro.frontend.tool import instrument_elf
+from repro.frontend.tool import instrument_elf, prepare_binary, rewrite_many
 from repro.service.cli import main as repro_main
+from repro.synth.generator import SynthesisParams
+from repro.x86.fastscan import HAVE_NUMPY, InstructionStream
 
 
 def synthetic_binary(seed: int = 7, profile: str = "bzip2") -> bytes:
@@ -80,6 +83,34 @@ class TestCleanRewrites:
         assert d["ok"] is True
         assert d["sites_checked"] == report.sites_checked
         assert d["findings"] == []
+
+
+class TestCostFollowsPatches:
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="the lazy stream needs numpy")
+    def test_lint_does_not_materialize_the_stream(self):
+        data = synthesize(SynthesisParams(n_jump_sites=100, seed=3)).data
+        ctx = prepare_binary(data)
+        stream = ctx.instructions
+        assert isinstance(stream, InstructionStream)
+        [report] = rewrite_many(
+            ctx, [RewriteOptions(mode="loader", lint=True)], matcher="jumps")
+        assert report.result.lint.ok
+        assert report.counters["lint.sites"] > 0
+        assert len(stream._cache) * 4 < len(stream)
+
+
+class TestOutputImage:
+    def test_reads_through_maps_and_program_headers(self):
+        data = synthetic_binary()
+        text = next(p for p in ElfFile(data).phdrs if p.flags & elfc.PF_X)
+        # Two adjacent block maps whose bytes are apart in the file.
+        maps = [(0x7000_0000, 0x1000, 0x100), (0x7000_1000, 0x1000, 0x40)]
+        img = _OutputImage(data, maps)
+        assert img.read(0x7000_0FFE, 4) == data[0x10FE:0x1100] + data[0x40:0x42]
+        assert img.read(text.vaddr + 16, 8) == data[text.offset + 16:
+                                                    text.offset + 24]
+        assert img.read(0x7100_0000, 1) is None  # unmapped
+        assert img.read(0x7000_1FFE, 4) is None  # runs off the last map
 
 
 class TestInjectedMiscompile:

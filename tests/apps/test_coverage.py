@@ -22,6 +22,15 @@ class TestCoverage:
         report = instrumented.run_with_coverage()
         assert report.run.observable == orig.observable
 
+    def test_pie_counts_are_load_base_invariant(self):
+        binary = synthesize(SynthesisParams(n_jump_sites=20, seed=5,
+                                            pie=True))
+        instrumented = CoverageInstrumenter().instrument(binary.data)
+        at_zero = instrumented.run_with_coverage().counts
+        moved = instrumented.run_with_coverage(load_base=0x555555554000)
+        assert moved.counts == at_zero
+        assert moved.covered_sites == moved.total_sites > 0
+
     def test_each_site_has_distinct_slot(self):
         binary = workload()
         instrumented = CoverageInstrumenter().instrument(binary.data)

@@ -155,6 +155,13 @@ class TestSerialization:
             reserve_extra=((0x1000, 0x2000),))
         assert options_from_dict(options_to_dict(options)) == options
 
+    def test_verify_in_old_artifacts_replays_as_lint(self):
+        encoded = options_to_dict(RewriteOptions(mode="loader"))
+        del encoded["lint"]
+        encoded["verify"] = True
+        assert options_from_dict(encoded) == RewriteOptions(mode="loader",
+                                                            lint=True)
+
     def test_patch_config_round_trip(self):
         for config in default_patch_configs():
             encoded = json.loads(json.dumps(config.to_dict()))

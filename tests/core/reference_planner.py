@@ -17,7 +17,7 @@ from repro.core.binary import CodeImage
 from repro.core.puns import MAX_JUMP_LEN, PunWindow
 from repro.core.tactics import SitePatch, Tactic, TacticContext
 from repro.core.trampoline import Instrumentation, Trampoline, build_trampoline
-from repro.errors import PatchError
+from repro.errors import EncodeError, PatchError
 from repro.x86.insn import Instruction
 
 
@@ -75,14 +75,19 @@ def try_direct(
     image = ctx.image
     size = ctx.trampoline_size(insn, instr)
     tag = f"patch@{insn.address:#x}"
+    reach = instr.reach(insn) or (-(1 << 64), 1 << 64)
     for window in pun_windows(image, insn.address, insn.end,
                               max_padding=None if allow_padding else 0):
-        t = space.allocate(window.target_lo, window.target_hi, size, tag)
+        lo = max(window.target_lo, reach[0])
+        hi = min(window.target_hi, reach[1])
+        if lo >= hi:
+            continue
+        t = space.allocate(lo, hi, size, tag)
         if t is None:
             continue
         try:
             code = build_trampoline(insn, instr, t, size, ctx.inject_bug)
-        except PatchError:
+        except (PatchError, EncodeError):
             space.release(t, size)
             continue
         image.write(window.jump_addr, window.encode(t))

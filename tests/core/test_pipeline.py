@@ -13,7 +13,6 @@ from repro.core.pipeline import (
     PlanPass,
     RewriteContext,
     RewriteOptions,
-    VerifyPass,
 )
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.trampoline import Empty
@@ -130,31 +129,17 @@ class TestExplicitPipeline:
             assert report.timings[name] >= 0.0
 
 
-class TestVerifyPass:
-    def test_verify_checks_every_patched_site(self):
+class TestLintIsThePostEmitCheck:
+    def test_lint_checks_every_patched_site(self):
         data = small_binary()
         report = instrument_elf(
-            data, "jumps", options=RewriteOptions(mode="loader", verify=True)
+            data, "jumps", options=RewriteOptions(mode="loader", lint=True)
         )
-        assert report.counters["verify.sites"] == len(report.result.plan.patches)
-        # Verification does not change the output.
+        assert report.counters["lint.sites"] == len(report.result.plan.patches)
+        # The check does not change the output.
         plain = instrument_elf(data, "jumps",
                                options=RewriteOptions(mode="loader"))
         assert report.result.data == plain.result.data
-
-    def test_verify_detects_clobbered_site(self):
-        data = small_binary()
-        elf = ElfFile(data)
-        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
-                             instructions=disassemble_text(elf))
-        sites = [i for i in ctx.instructions if match_jumps(i)]
-        ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
-                     for i in sites])
-        # Corrupt one patched site after the fact: verification must notice.
-        site = ctx.plan.patches[0].site
-        ctx.image.write_unchecked(site, b"\x90" * 2)
-        with pytest.raises(PatchError, match="verify"):
-            VerifyPass().run(ctx)
 
 
 class TestBatchApi:
@@ -249,11 +234,11 @@ class TestCliJson:
         dst = tmp_path / "out.elf"
         src.write_bytes(small_binary())
         rc = main([str(src), str(dst), "--mode", "loader", "--trace",
-                   "--verify"])
+                   "--verify"])  # a spelling of --lint
         assert rc == 0
         err = capsys.readouterr().err
         assert "[trace] pass:start decode" in err
-        assert "[trace] pass:end verify" in err
+        assert "[trace] pass:end lint" in err
 
 
 class TestStreamDecode:

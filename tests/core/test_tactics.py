@@ -19,7 +19,12 @@ from repro.core.tactics import (
     try_neighbour_eviction,
     try_successor_eviction,
 )
+from repro.core.pipeline import RewriteOptions
 from repro.core.trampoline import Empty, Trampoline
+from repro.elf.builder import TinyProgram
+from repro.elf.reader import ElfFile
+from repro.frontend.tool import instrument_elf
+from repro.synth.generator import SynthesisParams, synthesize
 from repro.x86.decoder import decode, decode_buffer
 
 BASE = 0x400000
@@ -294,3 +299,35 @@ class TestAbortHeavyChurn:
         tx.abort()
         after = list(pun_windows(ctx.image, BASE, BASE + 3))
         assert after == before
+
+
+class TestOutOfReachPlacement:
+    """A placement whose encoding is out of rel32 reach fails that
+    placement only; the site moves on to its next window or tactic."""
+
+    def test_pic_counter_clamps_into_reach(self):
+        # First-fit puts a trampoline at the bottom of its window, more
+        # than 2 GiB below a counter placed above a reserved span.
+        data = synthesize(SynthesisParams(n_jump_sites=30, seed=11,
+                                          pie=True)).data
+        end = ElfFile(data).image_end
+        options = RewriteOptions(mode="loader", lint=True,
+                                 reserve_extra=((end, end + (2 << 20)),))
+        report = instrument_elf(data, "jumps", "counter", options)
+        assert report.result.lint.ok
+        assert report.result.stats.success_pct == 100.0
+        tactics = {p.tactic for p in report.result.plan.patches}
+        assert tactics <= {Tactic.B1, Tactic.B2}
+
+    def test_relocated_jcc_out_of_reach_falls_back(self):
+        # 1 MB of 15-byte nops, then a jcc whose target is out of rel32
+        # reach from the bottom of the B1 window.
+        nop15 = bytes.fromhex("6666666666662e0f1f840000000000")
+        prog = TinyProgram(pie=True)
+        prog.text.raw(nop15 * 70_000 + bytes.fromhex("0f8510000000")
+                      + b"\x90" * 16)
+        report = instrument_elf(prog.build(), "jumps",
+                                options=RewriteOptions(lint=True))
+        assert report.result.lint.ok
+        [patch] = report.result.plan.patches
+        assert patch.tactic == Tactic.T1

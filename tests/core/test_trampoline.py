@@ -11,7 +11,7 @@ from repro.core.trampoline import (
     relocated_size,
     trampoline_size,
 )
-from repro.errors import PatchError
+from repro.errors import EncodeError, PatchError
 from repro.x86.decoder import decode, decode_all
 
 
@@ -127,3 +127,34 @@ class TestTrampolineBuild:
         assert any(i.reg == 7 and i.disp == 0x10 for i in leas)  # lea rdi, [rbx+0x10]
         assert any(i.mnemonic == "call" for i in insns)
         assert insns[-1].mnemonic == "jmp" and insns[-1].target == insn.end
+
+
+class _FlagsDead:
+    """A liveness stand-in under which every flag is dead."""
+
+    def at(self, address):
+        return self
+
+    def flags_are_dead(self, mask):
+        return True
+
+
+class TestCounterReach:
+    @pytest.mark.parametrize("flags_dead", [False, True])
+    def test_pic_reach_is_exact(self, flags_dead):
+        insn = d("c3")  # no jump back to constrain the placement
+        instr = Counter(0x7000_0000, pic=True)
+        if flags_dead:
+            instr.bind_liveness(_FlagsDead())
+        lo, hi = instr.reach(insn)
+        size = trampoline_size(insn, instr)
+        for t in (lo, hi - 1):
+            assert len(build_trampoline(insn, instr, t, size)) == size
+        for t in (lo - 1, hi):
+            with pytest.raises(EncodeError):
+                build_trampoline(insn, instr, t, size)
+
+    def test_movabs_counter_and_empty_reach_anywhere(self):
+        insn = d("48 89 03")
+        assert Counter(0x7000_0000).reach(insn) is None
+        assert Empty().reach(insn) is None

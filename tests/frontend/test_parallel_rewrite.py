@@ -99,7 +99,7 @@ class TestPerRunCounters:
         # Decode/match belong to the run that triggered them: the first.
         assert first.counters["pass.decode.runs"] == 1
         assert "pass.decode.runs" not in second.counters
-        assert second.timings.keys() <= {"plan", "group", "emit", "verify"}
+        assert second.timings.keys() <= {"plan", "group", "emit"}
 
     def test_single_run_still_reports_decode(self):
         data = make_binary()

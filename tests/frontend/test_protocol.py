@@ -3,6 +3,7 @@
 import base64
 import json
 
+import pytest
 
 from repro.frontend.protocol import E9PatchSession
 from repro.synth.generator import SynthesisParams, synthesize
@@ -122,6 +123,42 @@ class TestSession:
         assert info["type"] == "ET_DYN"
         assert info["shared_object"] is True
         assert info["cet"] is True and info["cet_note"] is True
+
+
+class TestOptions:
+    """``options`` takes the service's JSON options object."""
+
+    @pytest.mark.parametrize("params", [
+        {"granularity": "sixteen"}, {"granularity": [16]},
+        {"granularty": 2}, {"mode": "bogus"},
+    ])
+    def test_bad_options_answer_an_error(self, params):
+        binary = workload()
+        session = E9PatchSession()
+        session.handle(rpc("binary", {
+            "data": base64.b64encode(binary.data).decode()}))
+        r = session.handle(rpc("options", params))
+        assert r["error"]["code"] == -32000
+        # The session keeps its previous options and still emits.
+        session.handle(rpc("patch", {"address": binary.jump_sites[0]}))
+        r = session.handle(rpc("emit", {"return_data": False}))
+        assert r["result"]["stats"]["succ_pct"] == 100.0
+
+    def test_shared_object_with_library_path(self):
+        so = synthesize(SynthesisParams(n_jump_sites=8, n_write_sites=4,
+                                        seed=778, shared=True))
+        session = E9PatchSession()
+        session.handle(rpc("binary", {
+            "data": base64.b64encode(so.data).decode()}))
+        r = session.handle(rpc("options", {
+            "shared": True, "library_path": "/usr/lib/libsynth.so",
+            "lint": True}))
+        assert r["result"]["ok"] is True
+        assert session.options.mode == "loader"
+        for addr in so.jump_sites:
+            session.handle(rpc("patch", {"address": addr}))
+        r = session.handle(rpc("emit", {"return_data": False}))
+        assert r["result"]["stats"]["succ_pct"] == 100.0
 
 
 class TestErrors:

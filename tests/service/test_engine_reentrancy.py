@@ -127,7 +127,7 @@ class TestOptionsFromDict:
         assert options.grouping is False
         assert options.granularity == 4
         assert options.toggles.t3 is False
-        assert options.verify is True
+        assert options.lint is True  # verify is a spelling of lint
 
     def test_unknown_key_rejected(self):
         import pytest

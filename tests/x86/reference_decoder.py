@@ -243,8 +243,10 @@ def _decode_vex(cur: _Cursor, insn: Instruction, opsize16: bool,
         insn.imm_size = imm_len
         insn.imm = cur.take_n(imm_len)
 
-    # Store detection for the common VEX mov-store forms (map 1).
-    if map_select == 1 and opcode in tables.VEX_MAP1_STORES:
+    # Store detection; VEX.F3.0F 7E (pp = 2) is a vmovq load.
+    pp = insn.vex[1 if lead == 0xC5 else 2] & 3
+    if ((map_select, opcode) in tables.VEX_STORES
+            and (map_select, opcode, pp) != (1, 0x7E, 2)):
         insn.writes_rm = True
 
     insn._raw = None

@@ -177,6 +177,26 @@ class TestModRM:
         assert insn.imm_size == 4
 
 
+#: VEX/EVEX stores to (%rax), as objdump prints them.
+VEX_STORES = (
+    "c5 f9 7e 00",  # vmovd %xmm0,(%rax)
+    "c4 e1 f9 7e 00",  # vmovq %xmm0,(%rax)
+    "62 f1 7d 08 7e 00",  # {evex} vmovd %xmm0,(%rax)
+    "c4 e3 79 14 00 00",  # vpextrb
+    "c4 e3 79 15 00 00",  # vpextrw
+    "c4 e3 79 16 00 00",  # vpextrd
+    "c4 e3 f9 16 00 00",  # vpextrq
+    "c4 e3 79 17 00 00",  # vextractps
+    "c4 e3 7d 19 00 00",  # vextractf128
+    "c4 e3 79 1d 00 00",  # vcvtps2ph
+    "c4 e3 7d 39 00 00",  # vextracti128
+    "c4 e2 79 2e 00",  # vmaskmovps %xmm0,%xmm0,(%rax)
+    "c4 e2 79 2f 00",  # vmaskmovpd
+    "c4 e2 79 8e 00",  # vpmaskmovd
+    "c4 e2 f9 8e 00",  # vpmaskmovq
+)
+
+
 class TestWriteDetection:
     def test_mov_store(self):
         assert d("48 89 03").writes_rm  # mov [rbx], rax
@@ -225,6 +245,11 @@ class TestWriteDetection:
     def test_movq_xmm_load_does_not_write(self):
         assert not d("f3 0f 7e 03").writes_rm  # movq (%rbx),%xmm0
         assert d("66 0f 7e 03").writes_rm  # movd %xmm0,(%rbx)
+        assert not d("c5 fa 7e 00").writes_rm  # vmovq (%rax),%xmm0 (VEX.F3)
+
+    @pytest.mark.parametrize("hexstr", VEX_STORES)
+    def test_vex_store_writes(self, hexstr):
+        assert d(hexstr).writes_rm
 
 
 class TestErrors:

@@ -1,7 +1,11 @@
 """A1/A2 matcher semantics (paper Section 6.1 / 6.3 definitions)."""
 
+import pytest
+
+from repro.frontend.match_expr import compile_matcher
 from repro.x86.decoder import decode
 from repro.x86.flow import is_heap_write, is_memory_write, is_patchable_jump
+from tests.x86.test_decoder import VEX_STORES
 
 
 def d(hexstr: str):
@@ -53,6 +57,12 @@ class TestA2HeapWrites:
     def test_loads_do_not_match(self):
         assert not is_heap_write(d("48 8b 03"))
         assert not is_heap_write(d("48 39 03"))  # cmp reads only
+        assert not is_memory_write(d("c5 fa 7e 00"))  # vmovq (%rax),%xmm0
+
+    @pytest.mark.parametrize("hexstr", VEX_STORES)
+    def test_vex_stores_match(self, hexstr):
+        for name in ("heap-writes", "mem-write"):
+            assert compile_matcher(name)(d(hexstr)), name
 
     def test_register_destination_excluded(self):
         assert not is_heap_write(d("48 89 d8"))  # mov rax, rbx

@@ -15,7 +15,8 @@ The enumeration:
   SIB bytes, rip-relative, disp8, disp32, SIB with disp8), under the
   prefix heads none, 66, F2, F3, F0, 41, 48, ``66 48`` and ``F3 48``;
 * every opcode behind the C5 lead, the C4 leads for maps 1-3 and the
-  EVEX leads for maps 1-3, each with four ModRM bytes.
+  EVEX leads for maps 1-3, each with four ModRM bytes, under pp = none
+  and 66, and F3 for map 1.
 
 Rows hash their ``repr``, not their value: ``writes_rm == 0`` equals
 ``False`` under ``==`` but is a different row.  To see which rows a
@@ -34,7 +35,7 @@ from repro.x86.decoder import decode
 
 #: sha256 of the enumeration below.  Change it only together with the
 #: rows a change means to move, and say which rows those are.
-ROWS_DIGEST = "5a911ecc8283ffe4d2c43267973d6e6874bab8fb05fe7ad29800a0ae0fe0d9bb"
+ROWS_DIGEST = "86bd6c8fe088c794c907769a8d5d6dd3d0a4aec04714e66972dad15ab503d71f"
 
 HEADS = (b"", b"\x66", b"\xf2", b"\xf3", b"\xf0", b"\x41", b"\x48",
          b"\x66\x48", b"\xf3\x48")
@@ -50,10 +51,16 @@ FORMS = (
     (2, 6, b""),        # disp32(%rsi)
     (1, 4, b"\x5e"),    # SIB disp8(%rsi,%rbx,2)
 )
+#: Each lead with pp = none and 66, and with F3 for map 1 (pp is the low
+#: two bits of the last VEX byte, or of EVEX P1).
 VEX_LEADS = (
-    b"\xc5\xf8",
-    b"\xc4\xe1\x78", b"\xc4\xe2\x78", b"\xc4\xe3\x78",
-    b"\x62\xf1\x7c\x08", b"\x62\xf2\x7c\x08", b"\x62\xf3\x7c\x08",
+    b"\xc5\xf8", b"\xc5\xf9", b"\xc5\xfa",
+    b"\xc4\xe1\x78", b"\xc4\xe1\x79", b"\xc4\xe1\x7a",
+    b"\xc4\xe2\x78", b"\xc4\xe2\x79",
+    b"\xc4\xe3\x78", b"\xc4\xe3\x79",
+    b"\x62\xf1\x7c\x08", b"\x62\xf1\x7d\x08", b"\x62\xf1\x7e\x08",
+    b"\x62\xf2\x7c\x08", b"\x62\xf2\x7d\x08",
+    b"\x62\xf3\x7c\x08", b"\x62\xf3\x7d\x08",
 )
 VEX_MODRMS = (0xC1, 0x03, 0x44, 0x85)
 #: Displacement and immediate bytes after the addressing bytes: enough
