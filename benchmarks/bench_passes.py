@@ -1,9 +1,10 @@
 """Per-pass timing smoke bench with a machine-readable result file.
 
-Runs the staged pipeline over a mid-sized synthetic binary four ways —
-single rewrite, linted rewrite (the ``verified`` section), 3-config
-batch, cold-vs-warm artifact cache — prints the per-pass wall-time
-breakdown, records the source
+Runs the staged pipeline over a mid-sized synthetic binary five ways —
+single rewrite, linted rewrite (the ``verified`` section), counter
+rewrite with liveness slimming (the ``slim`` section, plus one forced
+liveness solve), 3-config batch, cold-vs-warm artifact cache — prints
+the per-pass wall-time breakdown, records the source
 size (``src.loc``: physical lines of ``src/repro/**/*.py``), and writes
 every measurement as JSON (default ``benchmarks/out/BENCH_passes.json``,
 schema ``repro-bench/1``).
@@ -38,11 +39,12 @@ import sys
 import tempfile
 import time
 
+from repro.analysis.liveness import LivenessAnalysis
 from repro.core.cache import ArtifactStore
 from repro.core.observe import Observer
 from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
-from repro.frontend.tool import instrument_elf, rewrite_many
+from repro.frontend.tool import instrument_elf, prepare_binary, rewrite_many
 from repro.synth.generator import SynthesisParams, synthesize
 
 N_SITES = 2000
@@ -55,9 +57,9 @@ def section(title: str, obs: Observer) -> None:
     print(f"== {title} ==")
     print(obs.format_timings())
     interesting = ("decode.instructions", "match.sites", "plan.sites",
-                   "plan.trampoline_bytes", "plan.alloc_probes",
-                   "group.physical_bytes", "emit.output_bytes",
-                   "lint.sites")
+                   "plan.trampoline_bytes", "plan.trampoline_saved_bytes",
+                   "plan.alloc_probes", "group.physical_bytes",
+                   "emit.output_bytes", "lint.sites")
     for name in interesting:
         if name in obs.counters:
             print(f"  {name} = {obs.counters[name]}")
@@ -192,6 +194,37 @@ def bench_large(profile_name: str, metrics: dict) -> str | None:
           f"{len(blob) / serial_s / 1e6:8.2f} MB/s")
     print()
     return check_stream_reference_identity(blob, serial, metrics)
+
+
+def bench_slim(data: bytes, metrics: dict) -> str | None:
+    """The fuzzing build's planning: a ``counter`` rewrite with liveness
+    slimming, and one forced liveness solve over the whole stream."""
+    obs = Observer()
+    report = instrument_elf(data, "jumps", instrumentation="counter",
+                            options=RewriteOptions(mode="loader",
+                                                   liveness=True),
+                            observer=obs)
+    metrics["slim.plan_s"] = obs.timings.get("plan", 0.0)
+    metrics["slim.plan_sites_s"] = obs.throughput().get("plan_sites_s", 0.0)
+    section(f"slim rewrite ({report.n_sites} sites, counter + liveness)", obs)
+
+    instructions = prepare_binary(data).instructions
+    analysis = LivenessAnalysis(instructions)
+    t0 = time.perf_counter()
+    analysis.at(instructions[0].address)
+    metrics["slim.liveness_s"] = time.perf_counter() - t0
+    print("== forced liveness solve ==")
+    print(f"{len(instructions)} instructions in "
+          f"{metrics['slim.liveness_s'] * 1e3:.2f} ms")
+    if "single.plan_s" in metrics:
+        ratio = metrics["slim.plan_s"] / metrics["single.plan_s"]
+        print(f"slim.plan_s / single.plan_s = {ratio:.2f} (target <= 1.2)")
+    print()
+    if report.stats.success_pct <= 99.0:
+        return "slim rewrite success rate regressed"
+    if report.counters.get("plan.trampoline_saved_bytes", 0) <= 0:
+        return "liveness slimmed no trampoline"
+    return None
 
 
 def bench_cache(data: bytes, metrics: dict) -> str | None:
@@ -333,6 +366,10 @@ def main(argv: list[str] | None = None) -> int:
     if obs.counters.get("lint.sites", 0) == 0:
         failures.append("lint pass checked no sites")
     section("linted rewrite", obs)
+
+    failure = bench_slim(binary.data, metrics)
+    if failure:
+        failures.append(failure)
 
     obs = Observer()
     t0 = time.perf_counter()

@@ -26,6 +26,18 @@ Soundness over precision, in three layers:
   acyclic fall-through chains (one to seed, one to propagate across
   backward jumps); loops simply stay at ⊤, which is correct.
 
+The solve runs on *effect columns*, one entry per instruction: the
+registers and flags it may read, those it must kill, and its
+successors.  Instructions repeat, and an instruction's facts and flow
+are pure functions of its *shape* (the fields
+:meth:`~repro.x86.fastscan.InstructionStream.shape_keys` packs), so a
+numpy-backed stream decodes one representative per distinct shape, runs
+:func:`~repro.analysis.facts.facts_for` on it and gathers the per-shape
+answers into columns; branch targets come from the branches' own
+displacement bytes.  Any other sequence (a list, a stdlib-backed
+stream) runs ``facts_for`` per instruction.  Either way one flat
+reverse sweep over Python int lists solves the columns.
+
 Results are exposed per address through :meth:`LivenessAnalysis.at`, and
 the whole analysis is lazy: constructing one costs nothing until the
 first query.
@@ -33,7 +45,9 @@ first query.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.analysis.facts import (
     ALL_FLAGS,
@@ -52,8 +66,24 @@ __all__ = ["LivenessAnalysis", "SiteLiveness"]
 #: refine loop bodies, which our conservative ⊤ join keeps live anyway.
 _DEFAULT_PASSES = 2
 
+# A live set packs the register mask into bits 0-15 and the flag mask
+# above them, so that one int operation updates both.
+_FLAG_SHIFT = 16
+_TOP = ALL_REGS | ALL_FLAGS << _FLAG_SHIFT
 
-@dataclass(frozen=True)
+# Successor codes of the sweep.  A code >= 0 is a jcc/loop: the next
+# instruction joined with the target index.  Codes <= _JUMP encode one
+# successor j as _JUMP - j; a list whose jcc falls through to an
+# instruction other than the next one gets j = n + k for pair k.
+_FALL = -1  # the next instruction only
+_UNKNOWN = -2  # ⊤ live-out
+_JUMP = -3
+
+# Flow classes of an instruction.
+_K_FALL, _K_JUMP, _K_BRANCH, _K_UNKNOWN = range(4)
+
+
+@dataclass(frozen=True, slots=True)
 class SiteLiveness:
     """Live-in masks at one instruction address.
 
@@ -88,93 +118,161 @@ class SiteLiveness:
                 f"dead flags: {', '.join(flags)}")
 
 
-#: The ⊤ answer handed out for addresses outside the analyzed region.
-_TOP = SiteLiveness(address=0)
-
-
 class LivenessAnalysis:
     """Backward liveness over one decoded instruction sequence.
 
-    The instruction list is the decoder's linear output for a region;
-    instructions must be address-sorted (the decoder guarantees this).
-    The fixpoint arrays are computed lazily on the first :meth:`at`.
+    The instruction sequence is the decoder's linear output for a
+    region; instructions must be address-sorted (the decoder guarantees
+    this).  The fixpoint is computed lazily on the first :meth:`at`,
+    and each queried address's answer is kept.
     """
 
-    def __init__(self, instructions: list[Instruction],
+    def __init__(self, instructions: Sequence[Instruction],
                  passes: int = _DEFAULT_PASSES) -> None:
         self._instructions = instructions
         self._passes = passes
-        self._live: dict[int, tuple[int, int]] | None = None
+        self._live: list[int] | None = None
+        self._index_of: Callable[[int], int | None] = {}.get
+        self._sites: dict[int, SiteLiveness] = {}
 
     # -- queries -----------------------------------------------------------
 
     def at(self, address: int) -> SiteLiveness:
         """Live-in masks at *address* (⊤ for unanalyzed addresses)."""
-        if self._live is None:
-            self._live = self._solve()
-        masks = self._live.get(address)
-        if masks is None:
-            return SiteLiveness(address=address)
-        return SiteLiveness(address=address, live_regs=masks[0],
-                            live_flags=masks[1])
+        site = self._sites.get(address)
+        if site is None:
+            if self._live is None:
+                self._solve()
+            i = self._index_of(address)
+            if i is None:
+                site = SiteLiveness(address=address)
+            else:
+                live = self._live[i]
+                site = SiteLiveness(address, live & ALL_REGS, live >> _FLAG_SHIFT)
+            self._sites[address] = site
+        return site
 
     # -- fixpoint ----------------------------------------------------------
 
-    def _solve(self) -> dict[int, tuple[int, int]]:
+    def _solve(self) -> None:
         insns = self._instructions
-        n = len(insns)
-        if n == 0:
-            return {}
+        shape_keys = getattr(insns, "shape_keys", None)
+        keys = shape_keys() if shape_keys is not None and len(insns) else None
+        if keys is not None:
+            self._index_of, columns = _stream_columns(insns, keys)
+        else:
+            self._index_of, columns = _list_columns(insns)
+        self._live = _sweep(*columns, self._passes)
 
-        index_of = {insn.address: i for i, insn in enumerate(insns)}
-        facts = [facts_for(insn) for insn in insns]
 
-        # Successor shape per instruction, precomputed once:
-        #   None          -> ⊤ live-out (unknown / unresolved flow)
-        #   (i,)          -> single successor index
-        #   (i, j)        -> jcc/loop: union of both successor live-ins
-        succs: list[tuple[int, ...] | None] = [None] * n
-        for i, insn in enumerate(insns):
-            flow = insn.flow
-            if flow == Flow.NONE:
-                nxt = index_of.get(insn.end)
-                succs[i] = None if nxt is None else (nxt,)
-            elif flow == Flow.JMP:
-                tgt = index_of.get(insn.target)
-                succs[i] = None if tgt is None else (tgt,)
-            elif flow in (Flow.JCC, Flow.LOOP):
-                nxt = index_of.get(insn.end)
-                tgt = index_of.get(insn.target)
-                if nxt is None or tgt is None:
-                    succs[i] = None
+def _effects(insn: Instruction) -> tuple[int, int]:
+    """(read, keep) of *insn*: the packed live set it may read, and the
+    complement of the one it must kill."""
+    f = facts_for(insn)
+    read = f.regs_read | f.flags_read << _FLAG_SHIFT
+    kill = f.regs_killed | f.flags_killed << _FLAG_SHIFT
+    return read, _TOP & ~kill
+
+
+def _kind(flow: Flow) -> int:
+    if flow is Flow.NONE:
+        return _K_FALL
+    if flow is Flow.JMP:
+        return _K_JUMP
+    if flow is Flow.JCC or flow is Flow.LOOP:
+        return _K_BRANCH
+    return _K_UNKNOWN  # CALL / RET / GROUP5 / SYSCALL / INT3 / INT / HLT
+
+
+def _stream_columns(stream, keys):
+    """Columns of a numpy-backed stream: ``facts_for`` and the flow of
+    one representative per distinct shape key, gathered per start."""
+    import numpy as np
+
+    _, reps, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    shapes = []
+    for r in reps.tolist():
+        insn = stream[r]
+        shapes.append((*_effects(insn), _kind(insn.flow), insn.imm_size))
+    read, keep, kind, imm = (np.array(col, np.int64) for col in zip(*shapes))
+    kind = kind[inverse]
+    succ = np.where(kind == _K_UNKNOWN, _UNKNOWN, _FALL)
+    br = np.flatnonzero((kind == _K_JUMP) | (kind == _K_BRANCH))
+    if len(br):
+        tgt = stream.branch_targets(br, imm[inverse[br]])
+        code = np.where(kind[br] == _K_BRANCH, tgt, _JUMP - tgt)
+        succ[br] = np.where(tgt < 0, _UNKNOWN, code)
+
+    offs, base = stream.offsets_view(), stream.address
+
+    def index_of(address: int) -> int | None:
+        off = address - base
+        i = bisect_right(offs, off) - 1
+        return i if i >= 0 and offs[i] == off else None
+
+    columns = (read[inverse].tolist(), keep[inverse].tolist(), succ.tolist(), [])
+    return index_of, columns
+
+
+def _list_columns(instructions: Sequence[Instruction]):
+    """Columns of any other sequence, one ``facts_for`` per instruction."""
+    insns = list(instructions)
+    n = len(insns)
+    index = {insn.address: i for i, insn in enumerate(insns)}
+    read, keep, succ = [], [], []
+    pairs: list[tuple[int, int]] = []
+    for i, insn in enumerate(insns):
+        r, k = _effects(insn)
+        read.append(r)
+        keep.append(k)
+        kind = _kind(insn.flow)
+        code = _UNKNOWN
+        if kind == _K_FALL:
+            nxt = index.get(insn.end)
+            if nxt is not None:
+                code = _FALL if nxt == i + 1 else _JUMP - nxt
+        elif kind == _K_JUMP:
+            tgt = index.get(insn.target)
+            if tgt is not None:
+                code = _JUMP - tgt
+        elif kind == _K_BRANCH:
+            nxt = index.get(insn.end)
+            tgt = index.get(insn.target)
+            if nxt == i + 1 and tgt is not None:
+                code = tgt
+            elif nxt is not None and tgt is not None:
+                code = _JUMP - n - len(pairs)
+                pairs.append((nxt, tgt))
+        succ.append(code)
+    return index.get, (read, keep, succ, pairs)
+
+
+def _sweep(read, keep, succ, pairs, passes: int) -> list[int]:
+    """Packed live-in sets: *passes* reverse sweeps from ⊤, updating in
+    place (a backward successor reads the previous pass), stopping early
+    once a pass changes nothing."""
+    n = len(succ)
+    live = [_TOP] * n
+    for _ in range(passes):
+        before = live.copy()
+        cur = _TOP  # live-in past the last instruction
+        for i in range(n - 1, -1, -1):
+            s = succ[i]
+            if s == _FALL:
+                out = cur
+            elif s >= 0:
+                out = cur | live[s]
+            elif s == _UNKNOWN:
+                out = _TOP
+            else:
+                j = _JUMP - s
+                if j < n:
+                    out = live[j]
                 else:
-                    succs[i] = (nxt, tgt)
-            # CALL / RET / GROUP5 / SYSCALL / INT3 / INT / HLT: leave None.
-
-        live_regs = [ALL_REGS] * n
-        live_flags = [ALL_FLAGS] * n
-        for _ in range(self._passes):
-            changed = False
-            for i in range(n - 1, -1, -1):
-                succ = succs[i]
-                if succ is None:
-                    out_regs, out_flags = ALL_REGS, ALL_FLAGS
-                else:
-                    out_regs = out_flags = 0
-                    for s in succ:
-                        out_regs |= live_regs[s]
-                        out_flags |= live_flags[s]
-                f = facts[i]
-                in_regs = (out_regs & ~f.regs_killed) | f.regs_read
-                in_flags = (out_flags & ~f.flags_killed) | f.flags_read
-                if in_regs != live_regs[i] or in_flags != live_flags[i]:
-                    live_regs[i] = in_regs
-                    live_flags[i] = in_flags
-                    changed = True
-            if not changed:
-                break
-
-        return {
-            insn.address: (live_regs[i], live_flags[i])
-            for i, insn in enumerate(insns)
-        }
+                    a, b = pairs[j - n]
+                    out = live[a] | live[b]
+            cur = out & keep[i] | read[i]
+            live[i] = cur
+        if live == before:
+            break
+    return live

@@ -50,9 +50,12 @@ _OPTION_KEYS = frozenset({
 def options_from_dict(params: dict) -> RewriteOptions:
     """Typed :class:`RewriteOptions` from a JSON options object.
 
-    Unknown keys raise ``ValueError`` (the service maps that to a 400)
-    rather than being silently dropped — a typoed ``granularty`` must
-    not quietly rewrite with defaults.
+    Values are validated, never coerced: boolean keys take JSON
+    booleans, ``granularity`` an integer of at least 1 and
+    ``library_path`` a string or null.  A bad value or an unknown key
+    raises ``ValueError`` naming the key (the service maps that to a
+    400) — ``"false"`` must not quietly read as true, nor a typoed
+    ``granularty`` rewrite with defaults.
     """
     unknown = set(params) - _OPTION_KEYS
     if unknown:
@@ -60,22 +63,37 @@ def options_from_dict(params: dict) -> RewriteOptions:
     mode = params.get("mode", "auto")
     if mode not in ("auto", "phdr", "loader"):
         raise ValueError(f"invalid mode {mode!r}")
+
+    def flag(key: str, default: bool) -> bool:
+        value = params.get(key, default)
+        if type(value) is not bool:
+            raise ValueError(f"option {key!r} must be a boolean, not {value!r}")
+        return value
+
+    granularity = params.get("granularity", 1)
+    if type(granularity) is not int or granularity < 1:
+        raise ValueError(
+            f"option 'granularity' must be an integer >= 1, not {granularity!r}")
+    library_path = params.get("library_path")
+    if library_path is not None and type(library_path) is not str:
+        raise ValueError(
+            f"option 'library_path' must be a string or null, not {library_path!r}")
     toggles = TacticToggles(
-        t1=bool(params.get("t1", True)),
-        t2=bool(params.get("t2", True)),
-        t3=bool(params.get("t3", True)),
-        b0_fallback=bool(params.get("b0", False)),
+        t1=flag("t1", True),
+        t2=flag("t2", True),
+        t3=flag("t3", True),
+        b0_fallback=flag("b0", False),
     )
     return RewriteOptions(
         mode=mode,
-        grouping=bool(params.get("grouping", True)),
-        granularity=int(params.get("granularity", 1)),
-        shared=bool(params.get("shared", False)),
-        library_path=params.get("library_path"),
-        pack_allocations=bool(params.get("pack_allocations", False)),
-        check=bool(params.get("check", False)),
-        liveness=bool(params.get("liveness", False)),
-        lint=bool(params.get("lint", False) or params.get("verify", False)),
+        grouping=flag("grouping", True),
+        granularity=granularity,
+        shared=flag("shared", False),
+        library_path=library_path,
+        pack_allocations=flag("pack_allocations", False),
+        check=flag("check", False),
+        liveness=flag("liveness", False),
+        lint=flag("lint", False) | flag("verify", False),
         toggles=toggles,
     )
 

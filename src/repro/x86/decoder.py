@@ -85,19 +85,19 @@ _D1, _D2, _D38, _D3A = (
 def _vex_entry(opmap: int, opcode: int, pp: int):
     """The entry of a VEX/EVEX opcode under the pp bits *pp*.  Its REL32
     immediate kind (map 1, 80-8F) decodes as IZ: the same size, but VEX
-    immediates are not sign-extended."""
+    immediates are not sign-extended.  Whether it stores comes from
+    ``tables.VEX_STORE_FORMS``; an opcode that stores under some ModRM.reg
+    values only (vstmxcsr) gets per-reg groups."""
     has_modrm = (opmap, opcode) not in tables.VEX_NO_MODRM
     kind = tables.vex_imm_kind(opmap, opcode)
     if kind is Imm.REL32:
         kind = Imm.IZ
-    # VEX.F3.0F 7E is vmovq xmm, xmm/m64, a load: the VEX twin of the
-    # legacy F3 0F 7E rule in decode.
-    writes = ((opmap, opcode) in tables.VEX_STORES
-              and (opmap, opcode, pp) != (1, 0x7E, 2))
-    return (
-        f"vex.m{opmap}.{opcode:02x}" if has_modrm else "vzeroupper",
-        has_modrm, kind.value, Flow.NONE, 0, writes, None,
-    )
+    name = f"vex.m{opmap}.{opcode:02x}" if has_modrm else "vzeroupper"
+    writes = [tables.vex_writes_rm(opmap, opcode, pp, reg) for reg in range(8)]
+    groups = None
+    if any(writes) and not all(writes):
+        groups = tuple((name, w) for w in writes)
+    return (name, has_modrm, kind.value, Flow.NONE, 0, any(writes), groups)
 
 
 # Imm enum values, inlined as ints for the hot loop's compares.

@@ -98,7 +98,7 @@ _M67 = 0x0200  # the immediate shrinks by 4 bytes under 0x67 (moffs)
 _W8 = 0x0400  # the immediate grows by 4 bytes under REX.W (imm64)
 _SIB5 = 0x0800  # mod=00 rm=100: a SIB byte with base 101 adds a disp32
 _CLS = 12  # bits 12-14: first-byte class needing a sparse fixup
-_PFX, _VEX = _dec._PFX, _dec._VEX
+_PFX, _REX, _VEX = _dec._PFX, _dec._REX, _dec._VEX
 _ESC = 4  # the 0F escape
 _SPARSE = _SIB5  # entries >= this are fixed up sparsely
 _VMODRM = _SIB5  # VEX table only: the opcode takes a ModRM byte
@@ -176,9 +176,8 @@ def _one_byte_tables(plain):
     no REX, by REX and by REX.W; class rows mark the sparse fixups."""
     rex = _np.where(plain & _LEN != 0, plain + 1, 0)
     rexw = _np.where(plain & _W8 != 0, (rex + 4) & (0xFFFF ^ _Z66), rex)
-    first = _np.frombuffer(bytes(_dec._FIRST), _np.uint8)
-    plain[first == _PFX] = _PFX << _CLS
-    plain[first == _VEX] = _VEX << _CLS
+    plain[_FIRST == _PFX] = _PFX << _CLS
+    plain[_FIRST == _VEX] = _VEX << _CLS
     for table in (plain, rex, rexw):
         table[0x0F] = _ESC << _CLS
     return _np.concatenate([plain, rex, rexw], dtype=_np.uint16).ravel()
@@ -187,8 +186,9 @@ def _one_byte_tables(plain):
 def _vex_table():
     """Per ``(map << 8) | opcode`` of VEX/EVEX: the immediate word,
     ``_VMODRM`` and SB_WRITE, from ``tables.vex_imm_kind``,
-    ``VEX_NO_MODRM`` and ``VEX_STORES`` (may-write under every pp: the
-    bits are supersets, so 7E's F3 load keeps the bit)."""
+    ``VEX_NO_MODRM`` and ``VEX_STORES`` (may-write under every pp and
+    ModRM.reg: the bits are supersets, so 7E's F3 load, the vpmov*
+    opcodes' 66 loads and vldmxcsr keep the bit)."""
     maps = _np.arange(32).repeat(256).tolist()
     kinds = map(vex_imm_kind, maps, list(range(256)) * 32)
     ids = _np.fromiter(map(id, kinds), _np.int64, len(maps))
@@ -204,13 +204,29 @@ def _vex_table():
 
 
 if HAVE_NUMPY:
+    _FIRST = _np.frombuffer(bytes(_dec._FIRST), _np.uint8)  # first-byte classes
     _RMSIB5, _RMLEN, _RMSTORE, _REG = _modrm_columns()
     # The REX.B half of _D1 changes only 90's mnemonic, not its layout.
-    _maps = _map_table(_dec._D1[:256] + _dec._D2 + _dec._D38 + _dec._D3A)
+    _LEGACY = _dec._D1[:256] + _dec._D2 + _dec._D38 + _dec._D3A
+    _maps = _map_table(_LEGACY)
     _T1 = _one_byte_tables(_maps[:256])  # prefix, REX, VEX and 0F rows are 0
     _TESC = _maps[256:].ravel()  # keyed (0F, 0F 38, 0F 3A) << 16 | opcode, ModRM
     _TVEX = _vex_table()
-    del _maps
+    # Whether each legacy (map << 8) | opcode takes a ModRM byte.
+    _HAS_MODRM = _np.array([e is not None and e[1] for e in _LEGACY], bool)
+    del _maps, _LEGACY
+
+# Shape-key layout (InstructionStream.shape_keys): SIB in bits 0-7, then
+# these fields.  An invalid start's key is 0; a VEX/EVEX key is just
+# _K_VALID | _K_VEX (the fact engine knows nothing about those, and
+# their flow is always Flow.NONE).
+_K_MODRM = 8
+_K_OPCODE = 16
+_K_MAP = 24  # 2 bits: one-byte, 0F, 0F 38, 0F 3A
+_K_REX = 26  # 5 bits: REX present, then its W R X B bits
+_K_PFX = 31  # 3 bits: 66, F2, F3 present
+_K_VEX = 1 << 34
+_K_VALID = 1 << 35
 
 
 def _cand_of(insn: Instruction) -> int:
@@ -229,6 +245,15 @@ def _cand_of(insn: Instruction) -> int:
 # ---------------------------------------------------------------------------
 # The vectorized scan: an entry for *every* offset.
 # ---------------------------------------------------------------------------
+
+
+def _padded(buf):
+    """*buf* as uint8 with 24 zero bytes after it, so that reads past
+    the end hit padding."""
+    n = len(buf)
+    bp = _np.zeros(n + 24, _np.uint8)
+    bp[:n] = _np.frombuffer(buf, _np.uint8)
+    return bp
 
 
 def _scan(buf, key=None):
@@ -252,8 +277,7 @@ def _scan(buf, key=None):
     """
     n = len(buf)
     key = _np.empty(n + 1, _np.intp) if key is None else key[: n + 1]
-    bp = _np.zeros(n + 24, _np.uint8)
-    bp[:n] = _np.frombuffer(buf, _np.uint8)
+    bp = _padded(buf)
     b0 = bp[: n + 1]
     rex = b0 & 0xF0
     rex = _np.equal(rex, 0x40, out=rex.view(bool)).view(_np.uint8)
@@ -543,6 +567,77 @@ class InstructionStream(Sequence):
                 )
             out.append(k)
         return out
+
+    def shape_keys(self):
+        """One int64 *shape key* per instruction start, or None for a
+        stdlib-backed stream.
+
+        A key holds exactly the fields that
+        :func:`repro.analysis.facts.facts_for` and the decoder's
+        ``flow``/``imm_size`` read (layout at ``_K_*``): validity,
+        VEX-ness, which of 66/F2/F3 occur in the prefix run, the REX
+        byte, the opcode map and opcode, and the ModRM and SIB bytes
+        (0 where absent).  So starts with equal keys decode to
+        instructions with equal facts, flow and branch-immediate size.
+        Every invalid start gets key 0.
+        """
+        starts = self._starts
+        if not (HAVE_NUMPY and isinstance(starts, _np.ndarray)):
+            return None
+        keys = _np.zeros(len(starts), _np.int64)
+        ok = _np.flatnonzero(_np.asarray(self._mbits) & SB_VALID)
+        if not len(ok):
+            return keys
+        bp = _padded(self._buf)
+        p = starts[ok].astype(_np.intp)
+        pfx = _np.zeros(len(ok), _np.int64)
+        run = _np.flatnonzero(_FIRST[bp[p]] == _PFX)
+        while len(run):  # one step through every prefix run at once
+            b = bp[p[run]]
+            pfx[run] |= (b == 0x66) | (b == 0xF2) * 2 | (b == 0xF3) * 4
+            p[run] += 1
+            run = run[_FIRST[bp[p[run]]] == _PFX]
+        cls = _FIRST[bp[p]]
+        rex = cls == _REX
+        rex_field = _np.where(rex, bp[p].astype(_np.int64) - 0x30, 0)  # 1WRXB
+        p += rex
+        op = bp[p].astype(_np.intp)
+        esc = op == 0x0F
+        op = _np.where(esc, bp[p + 1], op)
+        p += 1 + esc
+        three = esc & ((op == 0x38) | (op == 0x3A))
+        opmap = esc + three * (1 + (op == 0x3A))
+        op = _np.where(three, bp[p], op)
+        p += three
+        has_modrm = _HAS_MODRM[opmap << 8 | op]
+        modrm = _np.where(has_modrm, bp[p], 0).astype(_np.int64)
+        has_sib = has_modrm & (modrm < 0xC0) & (modrm & 7 == 4)
+        sib = _np.where(has_sib, bp[p + 1], 0)
+        key = (sib | modrm << _K_MODRM | op << _K_OPCODE | opmap << _K_MAP
+               | rex_field << _K_REX | pfx << _K_PFX | _K_VALID)
+        keys[ok] = _np.where(cls == _VEX, _K_VALID | _K_VEX, key)
+        return keys
+
+    def branch_targets(self, idx, imm_sizes):
+        """Stream indices of the targets of the direct branches at
+        stream indices *idx*, whose rel8/rel16/rel32 displacement is
+        their last *imm_sizes* bytes (numpy-backed streams only).
+
+        A branch ends where the next instruction starts, or at the end
+        of the buffer.  A target that is not an instruction start gives
+        -1.
+        """
+        starts = self._starts
+        n = len(starts)
+        size = _np.asarray(imm_sizes, _np.int64)
+        end = _np.append(starts, len(self._buf))[_np.asarray(idx) + 1].astype(_np.int64)
+        bp = _padded(self._buf)
+        raw = sum(bp[end - size + k].astype(_np.int64) << 8 * k for k in range(4))
+        sign = _np.int64(1) << (8 * size - 1)
+        target = end + (((raw & (2 * sign - 1)) ^ sign) - sign)
+        k = _np.searchsorted(starts, target)
+        hit = (k < n) & (starts[_np.minimum(k, n - 1)] == target)
+        return _np.where(hit, k, -1)
 
     # -- pickling (artifact store) ---------------------------------------
 

@@ -593,18 +593,41 @@ def legacy_rows(opmap: int) -> list[OpSpec | None]:
 # VEX/EVEX.
 # ---------------------------------------------------------------------------
 
-# (map, opcode) pairs of VEX/EVEX stores, whose r/m operand is the
-# destination: map 1's vmovups/vmovlps/vmovhps/vmovaps/vmovntps/vmovd/
-# vmovq/vmovdqa/vmovntdq (7E only without F3: VEX.F3.0F 7E is a vmovq
-# load, which decode tells from the pp bits); map 2's vmaskmovps/pd and
-# vpmaskmovd/q; map 3's vpextrb/w/d/q, vextractps, vextractf128,
-# vcvtps2ph and vextracti128.
-VEX_STORES = frozenset(
-    [(1, op) for op in (0x11, 0x13, 0x17, 0x29, 0x2B, 0x7E, 0x7F, 0xD6,
-                        0xE7)]
-    + [(2, op) for op in (0x2E, 0x2F, 0x8E)]
-    + [(3, op) for op in (0x14, 0x15, 0x16, 0x17, 0x19, 0x1D, 0x39)]
-)
+# VEX/EVEX stores, whose r/m operand is the destination: each (map,
+# opcode) with the pp values (0: none, 1: 66, 2: F3, 3: F2) and the
+# ModRM.reg values under which it stores.  Map 1: vmovups/vmovlps/
+# vmovhps/vmovaps/vmovntps/vmovd/vmovq/vmovdqa/vmovntdq (7E not under
+# F3: VEX.F3.0F 7E is a vmovq load) and vstmxcsr (AE /3; /2 is the
+# vldmxcsr load).  Map 2: vmaskmovps/pd and vpmaskmovd/q, the compresses
+# (vpcompressb/w, vcompressps/pd, vpcompressd/q), the scatters, and the
+# vpmov* down-converts (F3 only: under 66 the same opcodes are
+# vpmovsx*/vpmovzx* loads and vpsrlvw-style ops).  Map 3: vpextrb/w/d/q,
+# vextractps, vextractf128/f32x8, vcvtps2ph and vextracti128/i32x8.
+_ANY_PP = frozenset(range(4))
+_ANY_REG = frozenset(range(8))
+VEX_STORE_FORMS: dict[tuple[int, int], tuple[frozenset, frozenset]] = {
+    **{(1, op): (_ANY_PP, _ANY_REG)
+       for op in (0x11, 0x13, 0x17, 0x29, 0x2B, 0x7F, 0xD6, 0xE7)},
+    (1, 0x7E): (frozenset({0, 1, 3}), _ANY_REG),
+    (1, 0xAE): (_ANY_PP, frozenset({3})),
+    **{(2, op): (_ANY_PP, _ANY_REG)
+       for op in (0x2E, 0x2F, 0x8E, 0x63, 0x8A, 0x8B, 0xA0, 0xA1, 0xA2, 0xA3)},
+    **{(2, hi | lo): (frozenset({2}), _ANY_REG)
+       for hi in (0x10, 0x20, 0x30) for lo in range(6)},
+    **{(3, op): (_ANY_PP, _ANY_REG)
+       for op in (0x14, 0x15, 0x16, 0x17, 0x19, 0x1B, 0x1D, 0x39, 0x3B)},
+}
+
+#: The (map, opcode) pairs that store under some pp and ModRM.reg.
+VEX_STORES = frozenset(VEX_STORE_FORMS)
+
+
+def vex_writes_rm(map_select: int, opcode: int, pp: int, reg: int | None) -> bool:
+    """True when the VEX/EVEX instruction (map, opcode) under pp bits
+    *pp* and ModRM.reg *reg* stores to its r/m operand."""
+    form = VEX_STORE_FORMS.get((map_select, opcode))
+    return form is not None and pp in form[0] and reg in form[1]
+
 
 # (map, opcode) pairs of VEX/EVEX instructions without a ModRM byte:
 # vzeroupper/vzeroall.

@@ -131,6 +131,9 @@ class TestOptions:
     @pytest.mark.parametrize("params", [
         {"granularity": "sixteen"}, {"granularity": [16]},
         {"granularty": 2}, {"mode": "bogus"},
+        # Mistyped values are refused, not coerced ("false" read as true).
+        {"grouping": "false"}, {"lint": "no"}, {"granularity": True},
+        {"granularity": 2.7}, {"library_path": 5},
     ])
     def test_bad_options_answer_an_error(self, params):
         binary = workload()

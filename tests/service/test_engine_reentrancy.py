@@ -6,6 +6,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from repro.core.cache import ArtifactStore, CacheConfig
 from repro.core.observe import Observer
 from repro.core.parallel import ExecutorConfig
@@ -101,8 +103,6 @@ class TestReentrancy:
         assert report.n_sites > 0
 
     def test_unknown_instrumentation_rejected_before_decode(self):
-        import pytest
-
         data = make_binary(seed=3)
         observer = Observer()
         with pytest.raises(ReproError, match="'bogus'"):
@@ -130,13 +130,42 @@ class TestOptionsFromDict:
         assert options.lint is True  # verify is a spelling of lint
 
     def test_unknown_key_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError, match="granularty"):
             options_from_dict({"granularty": 2})
 
     def test_bad_mode_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError, match="mode"):
             options_from_dict({"mode": "turbo"})
+
+    @pytest.mark.parametrize("key", [
+        "grouping", "shared", "pack_allocations", "verify", "check",
+        "liveness", "lint", "t1", "t2", "t3", "b0",
+    ])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None, [True]])
+    def test_boolean_keys_take_only_json_booleans(self, key, value):
+        # "false" and "no" used to read as True, 0 as False.
+        with pytest.raises(ValueError, match=repr(key)):
+            options_from_dict({key: value})
+
+    @pytest.mark.parametrize("value", [True, False, 2.7, 1.0, 0, -3, "16", None])
+    def test_granularity_is_an_int_of_at_least_one(self, value):
+        # True used to read as 1, and 2.7 as 2.
+        with pytest.raises(ValueError, match="'granularity'"):
+            options_from_dict({"granularity": value})
+
+    @pytest.mark.parametrize("value", [5, True, ["/usr/lib"], {"p": 1}])
+    def test_library_path_is_a_string_or_null(self, value):
+        with pytest.raises(ValueError, match="'library_path'"):
+            options_from_dict({"library_path": value})
+
+    def test_valid_values_pass_through(self):
+        options = options_from_dict({
+            "granularity": 16, "library_path": None, "lint": False,
+            "verify": True, "b0": True,
+        })
+        assert options.granularity == 16
+        assert options.library_path is None
+        assert options.lint is True
+        assert options.toggles.b0_fallback is True
+        assert options_from_dict(
+            {"library_path": "/usr/lib/libx.so"}).library_path == "/usr/lib/libx.so"

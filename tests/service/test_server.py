@@ -96,6 +96,18 @@ class TestErrors:
                                options={"granularty": 2})
             assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("options", [
+        {"grouping": "false"}, {"lint": "no"}, {"granularity": True},
+        {"granularity": 2.7}, {"library_path": 5},
+    ])
+    def test_mistyped_option_is_400(self, tmp_path, options):
+        with running_service(tmp_path, cache=False) as (_, client):
+            with pytest.raises(ServiceError) as excinfo:
+                client.rewrite(make_binary(seed=2), options=options)
+            assert excinfo.value.status == 400
+            assert excinfo.value.kind == "bad_request"
+            assert repr(next(iter(options))) in str(excinfo.value)
+
     def test_unknown_route_is_404_and_wrong_method_is_405(self, tmp_path):
         with running_service(tmp_path, cache=False) as (_, client):
             assert client.request("GET", "/nope")[0] == 404

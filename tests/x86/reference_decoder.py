@@ -243,10 +243,10 @@ def _decode_vex(cur: _Cursor, insn: Instruction, opsize16: bool,
         insn.imm_size = imm_len
         insn.imm = cur.take_n(imm_len)
 
-    # Store detection; VEX.F3.0F 7E (pp = 2) is a vmovq load.
+    # Store detection, per pp bits and ModRM.reg (VEX.F3.0F 7E is a
+    # vmovq load, VEX.0F AE /3 the vstmxcsr store).
     pp = insn.vex[1 if lead == 0xC5 else 2] & 3
-    if ((map_select, opcode) in tables.VEX_STORES
-            and (map_select, opcode, pp) != (1, 0x7E, 2)):
+    if tables.vex_writes_rm(map_select, opcode, pp, insn.reg_raw):
         insn.writes_rm = True
 
     insn._raw = None

@@ -194,6 +194,30 @@ VEX_STORES = (
     "c4 e2 79 2f 00",  # vmaskmovpd
     "c4 e2 79 8e 00",  # vpmaskmovd
     "c4 e2 f9 8e 00",  # vpmaskmovq
+    "62 f3 7d 48 1b 00 00",  # vextractf32x8 $0x0,%zmm0,(%rax)
+    "62 f3 7d 48 3b 00 00",  # vextracti32x8 $0x0,%zmm0,(%rax)
+    "62 f2 7d 08 8a 00",  # vcompressps %xmm0,(%rax)
+    "62 f2 7d 08 8b 00",  # vpcompressd %xmm0,(%rax)
+    "62 f2 7d 08 63 00",  # vpcompressb %xmm0,(%rax)
+    "62 f2 7d 09 a0 04 08",  # vpscatterdd %xmm0,(%rax,%xmm1,1){%k1}
+    "62 f2 7d 09 a1 04 08",  # vpscatterqd
+    "62 f2 7d 09 a2 04 08",  # vscatterdps
+    "62 f2 7d 09 a3 04 08",  # vscatterqps
+    "62 f2 7e 08 30 00",  # vpmovwb %xmm0,(%rax) (EVEX.F3 map 2)
+    "62 f2 7e 08 21 00",  # vpmovsdb %xmm0,(%rax)
+    "62 f2 7e 08 15 00",  # vpmovusqd %xmm0,(%rax)
+    "c5 f8 ae 18",  # vstmxcsr (%rax) (VEX.0F AE /3)
+)
+
+#: VEX/EVEX loads sharing an opcode with a store above, as objdump prints
+#: them.
+VEX_LOADS = (
+    "c5 fa 7e 00",  # vmovq (%rax),%xmm0 (VEX.F3.0F 7E)
+    "62 f2 7d 08 30 00",  # {evex} vpmovzxbw (%rax),%xmm0 (66, not F3)
+    "62 f2 7d 08 21 00",  # {evex} vpmovsxbd (%rax),%xmm0
+    "c4 e2 79 20 00",  # vpmovsxbw (%rax),%xmm0
+    "62 f2 fd 08 10 00",  # vpsrlvw (%rax),%xmm0,%xmm0
+    "c5 f8 ae 10",  # vldmxcsr (%rax) (VEX.0F AE /2)
 )
 
 
@@ -250,6 +274,10 @@ class TestWriteDetection:
     @pytest.mark.parametrize("hexstr", VEX_STORES)
     def test_vex_store_writes(self, hexstr):
         assert d(hexstr).writes_rm
+
+    @pytest.mark.parametrize("hexstr", VEX_LOADS)
+    def test_vex_load_does_not_write(self, hexstr):
+        assert not d(hexstr).writes_rm
 
 
 class TestErrors:

@@ -25,6 +25,7 @@ from repro.frontend.matchers import (
 from repro.x86 import fastscan as fs
 from repro.x86.decoder import MAX_INSN_LEN, decode, decode_buffer
 from repro.x86.fastscan import HAVE_NUMPY, InstructionStream, decode_stream
+from tests.x86.test_decoder import VEX_LOADS, VEX_STORES
 
 requires_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="vector fast path needs numpy")
@@ -147,6 +148,8 @@ CORPORA = {
     # movbe m, r / pextrd m, x, ib / mov m, r: stores in all three maps.
     "three-byte-stores": bytes.fromhex("0f38f107" "90" "660f3a160701" "90"
                                        "488907" "c3"),
+    "vex-stores": b"\x90".join(bytes.fromhex(h)
+                               for h in VEX_STORES + VEX_LOADS),
 }
 
 
@@ -212,7 +215,7 @@ class TestSelect:
     @pytest.mark.parametrize("matcher", [match_all, match_jumps,
                                          match_calls, match_heap_writes])
     @pytest.mark.parametrize("name", ["random", "prefix-heavy", "real-text",
-                                      "three-byte-stores"])
+                                      "three-byte-stores", "vex-stores"])
     def test_select_equals_brute_force(self, name, matcher):
         data = CORPORA[name]
         stream = decode_stream(data, address=0x400000, min_vector_bytes=0)
@@ -329,18 +332,20 @@ def _prefix_run_samples():
 
 def _vex_samples():
     """Each VEX/EVEX lead (C5, C4 with maps 0-31, 62 with maps 0-7) x
-    every opcode, with and without a 66 prefix."""
+    every opcode, with and without a 66 prefix, under pp = none and F3
+    (the vpmov* stores), with ModRM.reg 0 and 3 (vstmxcsr)."""
     out = []
     for pre in (b"", b"\x66"):
-        for op in range(256):
-            for tail in (b"\x04\x05", b"\xc0"):
-                out.append(_slot(pre + bytes((0xC5, 0xF8, op)) + tail))
-                for mp in range(32):
-                    out.append(_slot(pre + bytes((0xC4, 0xE0 | mp, 0x78, op))
-                                     + tail))
-                for mp in range(8):
-                    out.append(_slot(pre + bytes((0x62, 0xF0 | mp, 0x7C, 0x48,
-                                                  op)) + tail))
+        for pp in (0, 2):
+            for op in range(256):
+                for tail in (b"\x04\x05", b"\xc0", b"\x18"):
+                    out.append(_slot(pre + bytes((0xC5, 0xF8 | pp, op)) + tail))
+                    for mp in range(32):
+                        out.append(_slot(pre + bytes((0xC4, 0xE0 | mp, 0x78 | pp,
+                                                      op)) + tail))
+                    for mp in range(8):
+                        out.append(_slot(pre + bytes((0x62, 0xF0 | mp, 0x7C | pp,
+                                                      0x48, op)) + tail))
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.frontend.match_expr import compile_matcher
 from repro.x86.decoder import decode
 from repro.x86.flow import is_heap_write, is_memory_write, is_patchable_jump
-from tests.x86.test_decoder import VEX_STORES
+from tests.x86.test_decoder import VEX_LOADS, VEX_STORES
 
 
 def d(hexstr: str):
@@ -63,6 +63,11 @@ class TestA2HeapWrites:
     def test_vex_stores_match(self, hexstr):
         for name in ("heap-writes", "mem-write"):
             assert compile_matcher(name)(d(hexstr)), name
+
+    @pytest.mark.parametrize("hexstr", VEX_LOADS)
+    def test_vex_loads_do_not_match(self, hexstr):
+        for name in ("heap-writes", "mem-write"):
+            assert not compile_matcher(name)(d(hexstr)), name
 
     def test_register_destination_excluded(self):
         assert not is_heap_write(d("48 89 d8"))  # mov rax, rbx
