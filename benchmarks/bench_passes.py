@@ -3,8 +3,9 @@
 Runs the staged pipeline over a mid-sized synthetic binary five ways —
 single rewrite, linted rewrite (the ``verified`` section), counter
 rewrite with liveness slimming (the ``slim`` section, plus one forced
-liveness solve), 3-config batch, cold-vs-warm artifact cache — prints
-the per-pass wall-time breakdown, records the source
+liveness solve), 3-config batch, cold-vs-warm artifact cache — times
+match-expression selection against the brute-force filter (the ``expr``
+section), prints the per-pass wall-time breakdown, records the source
 size (``src.loc``: physical lines of ``src/repro/**/*.py``), and writes
 every measurement as JSON (default ``benchmarks/out/BENCH_passes.json``,
 schema ``repro-bench/1``).
@@ -34,7 +35,9 @@ import argparse
 import json
 import os
 import pathlib
+import pickle
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -44,10 +47,13 @@ from repro.core.cache import ArtifactStore
 from repro.core.observe import Observer
 from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
+from repro.frontend.match_expr import compile_matcher
 from repro.frontend.tool import instrument_elf, prepare_binary, rewrite_many
 from repro.synth.generator import SynthesisParams, synthesize
 
 N_SITES = 2000
+#: The match expressions perfbench ``service`` sends.
+EXPRESSIONS = ("jcc", 'mnemonic == "call"', "mem-write and not rip-relative")
 SCHEMA = "repro-bench/1"
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -227,6 +233,39 @@ def bench_slim(data: bytes, metrics: dict) -> str | None:
     return None
 
 
+def bench_expr(data: bytes, metrics: dict, reps: int = 5) -> str | None:
+    """Match expressions: ``select`` (one verdict per instruction shape)
+    against the brute-force filter, each call on a freshly unpickled
+    stream as the daemon's artifact store hands one to a request.  Per
+    expression the median of *reps* calls counts; ``expr.speedup``
+    divides the two sums, so host drift cancels."""
+    blob = pickle.dumps(prepare_binary(data).instructions)
+    select_s = brute_s = 0.0
+    for source in EXPRESSIONS:
+        matcher = compile_matcher(source)
+        times = {"select": [], "brute": []}
+        for _ in range(reps):
+            stream = pickle.loads(blob)
+            t0 = time.perf_counter()
+            sites = stream.select(matcher)
+            times["select"].append(time.perf_counter() - t0)
+            stream = pickle.loads(blob)
+            t0 = time.perf_counter()
+            brute = [insn for insn in stream if matcher(insn)]
+            times["brute"].append(time.perf_counter() - t0)
+            if [i.address for i in sites] != [i.address for i in brute]:
+                return f"select({source!r}) differs from the brute-force filter"
+        select_s += statistics.median(times["select"])
+        brute_s += statistics.median(times["brute"])
+    metrics["expr.match_s"] = select_s
+    metrics["expr.speedup"] = round(brute_s / select_s, 3)
+    print(f"== match expressions ({len(EXPRESSIONS)}, fresh stream per call) ==")
+    print(f"select {select_s * 1e3:8.2f} ms   brute force {brute_s * 1e3:8.2f} ms"
+          f"   speedup {metrics['expr.speedup']:.2f}x")
+    print()
+    return None
+
+
 def bench_cache(data: bytes, metrics: dict) -> str | None:
     """Cold-vs-warm artifact cache; a warm run must do zero decode work."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
@@ -384,6 +423,10 @@ def main(argv: list[str] | None = None) -> int:
     if obs.runs("decode") != 1 or obs.runs("plan") != 3:
         failures.append("batch rewrite did not share the decode pass")
     section("3-config batch (decode/match shared)", obs)
+
+    failure = bench_expr(binary.data, metrics)
+    if failure:
+        failures.append(failure)
 
     failure = bench_cache(binary.data, metrics)
     if failure:

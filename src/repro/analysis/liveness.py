@@ -31,7 +31,8 @@ registers and flags it may read, those it must kill, and its
 successors.  Instructions repeat, and an instruction's facts and flow
 are pure functions of its *shape* (the fields
 :meth:`~repro.x86.fastscan.InstructionStream.shape_keys` packs), so a
-numpy-backed stream decodes one representative per distinct shape, runs
+numpy-backed stream decodes one representative per distinct shape
+(:meth:`~repro.x86.fastscan.InstructionStream.shapes`), runs
 :func:`~repro.analysis.facts.facts_for` on it and gathers the per-shape
 answers into columns; branch targets come from the branches' own
 displacement bytes.  Any other sequence (a list, a stdlib-backed
@@ -156,10 +157,10 @@ class LivenessAnalysis:
 
     def _solve(self) -> None:
         insns = self._instructions
-        shape_keys = getattr(insns, "shape_keys", None)
-        keys = shape_keys() if shape_keys is not None and len(insns) else None
-        if keys is not None:
-            self._index_of, columns = _stream_columns(insns, keys)
+        shapes = getattr(insns, "shapes", None)
+        shapes = shapes() if shapes is not None and len(insns) else None
+        if shapes is not None:
+            self._index_of, columns = _stream_columns(insns, shapes)
         else:
             self._index_of, columns = _list_columns(insns)
         self._live = _sweep(*columns, self._passes)
@@ -184,17 +185,17 @@ def _kind(flow: Flow) -> int:
     return _K_UNKNOWN  # CALL / RET / GROUP5 / SYSCALL / INT3 / INT / HLT
 
 
-def _stream_columns(stream, keys):
+def _stream_columns(stream, shapes):
     """Columns of a numpy-backed stream: ``facts_for`` and the flow of
     one representative per distinct shape key, gathered per start."""
     import numpy as np
 
-    _, reps, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    shapes = []
+    _, reps, inverse = shapes
+    rows = []
     for r in reps.tolist():
         insn = stream[r]
-        shapes.append((*_effects(insn), _kind(insn.flow), insn.imm_size))
-    read, keep, kind, imm = (np.array(col, np.int64) for col in zip(*shapes))
+        rows.append((*_effects(insn), _kind(insn.flow), insn.imm_size))
+    read, keep, kind, imm = (np.array(col, np.int64) for col in zip(*rows))
     kind = kind[inverse]
     succ = np.where(kind == _K_UNKNOWN, _UNKNOWN, _FALL)
     br = np.flatnonzero((kind == _K_JUMP) | (kind == _K_BRANCH))

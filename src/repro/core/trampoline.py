@@ -124,12 +124,6 @@ class Instrumentation:
     def bind_liveness(self, liveness: LivenessAnalysis | None) -> None:
         self.liveness = liveness
 
-    def site_liveness(self, insn: Instruction) -> SiteLiveness | None:
-        """Live-in facts at *insn*, or None when no analysis is bound."""
-        if self.liveness is None:
-            return None
-        return self.liveness.at(insn.address)
-
     def size(self, insn: Instruction) -> int:
         probe = enc.Assembler(base=0)
         self.emit(probe, insn)
@@ -142,24 +136,69 @@ class Instrumentation:
 
     def saved_cost(self, insn: Instruction) -> tuple[int, int]:
         """(bytes, register save/restore pairs) trimmed at this site by
-        the bound liveness, relative to the liveness-blind encoding."""
-        if self.liveness is None:
-            return (0, 0)
-        liveness, self.liveness = self.liveness, None
-        try:
-            full_size = self.size(insn)
-            full_regs = self._saved_reg_count(insn)
-        finally:
-            self.liveness = liveness
-        return (full_size - self.size(insn),
-                full_regs - self._saved_reg_count(insn))
-
-    def _saved_reg_count(self, insn: Instruction) -> int:
-        """Number of register save/restore pairs this body emits."""
-        return 0
+        the bound liveness, relative to the liveness-blind encoding:
+        none, unless the body slims (:class:`_PlannedBody`)."""
+        return (0, 0)
 
     def emit(self, asm: enc.Assembler, insn: Instruction) -> None:
         raise NotImplementedError
+
+
+class _PlannedBody(Instrumentation):
+    """A body that liveness slims through a per-site *plan*: which
+    registers and flags it saves.  Subclasses give ``_plan(live)`` (the
+    plan under a :class:`SiteLiveness`, or liveness-blind under None),
+    ``_plan_regs(plan)`` (its register save/restore pairs) and
+    ``_emit_plan(asm, insn, plan)``.  The encoding depends only on the
+    plan and on :meth:`_layout` of the site, so each site's plan is
+    computed once per :meth:`bind_liveness` and each distinct (plan,
+    layout) is sized once: a handful of sizes per body."""
+
+    _plans: dict | None = None
+    _sizes: dict | None = None
+
+    def bind_liveness(self, liveness: LivenessAnalysis | None) -> None:
+        self.liveness = liveness
+        self._plans = None
+
+    def _layout(self, insn: Instruction):
+        """What of *insn* the encoding reads besides the plan."""
+        return None
+
+    def _site_plan(self, insn: Instruction):
+        if self.liveness is None:
+            return self._plan(None)
+        if self._plans is None:
+            self._plans = {}
+        plan = self._plans.get(insn.address)
+        if plan is None:
+            plan = self._plans[insn.address] = self._plan(
+                self.liveness.at(insn.address))
+        return plan
+
+    def _plan_size(self, plan, insn: Instruction) -> int:
+        if self._sizes is None:
+            self._sizes = {}
+        key = (plan, self._layout(insn))
+        size = self._sizes.get(key)
+        if size is None:
+            probe = enc.Assembler(base=0)
+            self._emit_plan(probe, insn, plan)
+            size = self._sizes[key] = len(probe.bytes())
+        return size
+
+    def size(self, insn: Instruction) -> int:
+        return self._plan_size(self._site_plan(insn), insn)
+
+    def saved_cost(self, insn: Instruction) -> tuple[int, int]:
+        if self.liveness is None:
+            return (0, 0)
+        blind, plan = self._plan(None), self._site_plan(insn)
+        return (self._plan_size(blind, insn) - self._plan_size(plan, insn),
+                self._plan_regs(blind) - self._plan_regs(plan))
+
+    def emit(self, asm: enc.Assembler, insn: Instruction) -> None:
+        self._emit_plan(asm, insn, self._site_plan(insn))
 
 
 class Empty(Instrumentation):
@@ -174,7 +213,7 @@ class Empty(Instrumentation):
         return
 
 
-class Counter(Instrumentation):
+class Counter(_PlannedBody):
     """Increment a 64-bit counter in memory (basic-block-counting style).
 
     Respects the System V red zone and preserves flags and registers.
@@ -200,37 +239,34 @@ class Counter(Instrumentation):
         self.counter_vaddr = counter_vaddr
         self.pic = pic
 
-    def _site_plan(self, insn: Instruction) -> tuple[int, bool, bool]:
-        """(scratch reg, save that reg?, save flags?) for this site."""
-        live = self.site_liveness(insn)
+    def _plan(self, live: SiteLiveness | None) -> tuple[int, bool, bool]:
+        """(scratch reg, save that reg?, save flags?); a ``pic`` body
+        has no scratch register to save."""
         if live is None:
-            return (enc.RAX, True, True)
+            return (enc.RAX, not self.pic, True)
+        save_flags = not live.flags_are_dead(_INC_FLAGS)
+        if self.pic:
+            return (enc.RAX, False, save_flags)
         for reg in _SCRATCH_REGS:
             if live.reg_is_dead(reg):
-                return (reg, False, not live.flags_are_dead(_INC_FLAGS))
-        return (enc.RAX, True, not live.flags_are_dead(_INC_FLAGS))
+                return (reg, False, save_flags)
+        return (enc.RAX, True, save_flags)
 
-    def _pic_saves_flags(self, insn: Instruction) -> bool:
-        live = self.site_liveness(insn)
-        return live is None or not live.flags_are_dead(_INC_FLAGS)
-
-    def _saved_reg_count(self, insn: Instruction) -> int:
-        if self.pic:
-            return 0
-        _, save_reg, _ = self._site_plan(insn)
-        return 1 if save_reg else 0
+    def _plan_regs(self, plan: tuple[int, bool, bool]) -> int:
+        return 1 if plan[1] else 0
 
     def reach(self, insn: Instruction) -> tuple[int, int] | None:
         if not self.pic:
             return None
         # The incq's rel32 counts from its end: 13 bytes into the body
         # behind the red-zone lea and pushfq, 7 bytes in without them.
-        at = self.counter_vaddr - (13 if self._pic_saves_flags(insn) else 7)
+        at = self.counter_vaddr - (13 if self._site_plan(insn)[2] else 7)
         return (at - (1 << 31) + 1, at + (1 << 31) + 1)
 
-    def emit(self, asm: enc.Assembler, insn: Instruction) -> None:
+    def _emit_plan(self, asm: enc.Assembler, insn: Instruction,
+                   plan: tuple[int, bool, bool]) -> None:
+        scratch, save_reg, save_flags = plan
         if self.pic:
-            save_flags = self._pic_saves_flags(insn)
             if save_flags:
                 asm.raw(b"\x48\x8d\x64\x24\x80")  # lea -0x80(%rsp), %rsp
                 asm.pushfq()
@@ -239,7 +275,6 @@ class Counter(Instrumentation):
                 asm.popfq()
                 asm.raw(b"\x48\x8d\xa4\x24\x80\x00\x00\x00")
             return
-        scratch, save_reg, save_flags = self._site_plan(insn)
         # Any push dips below %rsp, so the red-zone adjustment is needed
         # exactly when something is saved.
         red_zone = save_reg or save_flags
@@ -259,7 +294,7 @@ class Counter(Instrumentation):
             asm.raw(b"\x48\x8d\xa4\x24\x80\x00\x00\x00")  # lea 0x80(%rsp), %rsp
 
 
-class CallFunction(Instrumentation):
+class CallFunction(_PlannedBody):
     """Call an absolute function, optionally passing the effective address
     of the displaced instruction's memory operand in ``%rdi`` (the shape
     used by the LowFat heap-write hardening of Section 6.3).
@@ -299,11 +334,10 @@ class CallFunction(Instrumentation):
             saved += (enc.RDI,)  # argument register the body overwrites
         return saved
 
-    def _site_plan(self, insn: Instruction) -> tuple[tuple[int, ...], bool]:
-        """(registers to save, save flags?) for this site."""
+    def _plan(self, live: SiteLiveness | None) -> tuple[tuple[int, ...], bool]:
+        """(registers to save, save flags?)."""
         saved = self.saved
         save_flags = not self.preserves_flags
-        live = self.site_liveness(insn)
         if live is None:
             return (saved, save_flags)
         # DF is deliberately ignored here: the SysV ABI requires callees
@@ -314,11 +348,20 @@ class CallFunction(Instrumentation):
         return (tuple(r for r in saved if not live.reg_is_dead(r)),
                 save_flags)
 
-    def _saved_reg_count(self, insn: Instruction) -> int:
-        return len(self._site_plan(insn)[0])
+    def _plan_regs(self, plan: tuple[tuple[int, ...], bool]) -> int:
+        return len(plan[0])
 
-    def emit(self, asm: enc.Assembler, insn: Instruction) -> None:
-        saved, save_flags = self._site_plan(insn)
+    def _layout(self, insn: Instruction):
+        """The rebuilt operand's SIB and displacement size, or None
+        when the body moves 0 into ``%rdi`` instead."""
+        if self.pass_mem_operand and insn.has_mem_operand \
+                and not insn.rip_relative:
+            return (insn.sib is not None, insn.disp_size)
+        return None
+
+    def _emit_plan(self, asm: enc.Assembler, insn: Instruction,
+                   plan: tuple[tuple[int, ...], bool]) -> None:
+        saved, save_flags = plan
         asm.raw(b"\x48\x8d\x64\x24\x80")  # lea -0x80(%rsp), %rsp
         if save_flags:
             asm.pushfq()

@@ -42,6 +42,16 @@ Examples::
     addr >= 0x401000 and addr < 0x402000
     writes rdi and not defines-flags
     mem-stack and mem-width >= 8
+
+Compiled expressions are matched one instruction *shape* at a time
+(:meth:`~repro.x86.fastscan.InstructionStream.select`): each node's
+:meth:`~Node.verdict` answers ``True``, ``False`` or ``None`` (unknown)
+for every instruction sharing a shape key, and ``and``/``or``/``not``
+combine the answers in Kleene logic.  Barewords, register tests and
+comparisons on ``mnemonic``, ``opcode`` and ``mem-width`` are fixed by
+the key; the positional fields ``size``, ``addr`` and ``target`` are
+not, so an expression that needs one of them costs a per-instruction
+pass over the shapes it cannot decide.
 """
 
 from __future__ import annotations
@@ -110,8 +120,20 @@ def tokenize(source: str) -> list[Token]:
 # --------------------------------------------------------------------------
 
 class Node:
+    """An expression node; the root is the compiled predicate."""
+
+    def __call__(self, insn: Instruction) -> bool:
+        return self.evaluate(insn)
+
     def evaluate(self, insn: Instruction) -> bool:
         raise NotImplementedError
+
+    def verdict(self, insn: Instruction) -> bool | None:
+        """The node's value for every instruction of *insn*'s shape
+        (the fields a shape key fixes), or None when it may differ
+        between them.  A leaf that reads only those fields answers
+        with its value."""
+        return bool(self.evaluate(insn))
 
 
 @dataclass(frozen=True)
@@ -122,6 +144,15 @@ class Or(Node):
     def evaluate(self, insn: Instruction) -> bool:
         return self.left.evaluate(insn) or self.right.evaluate(insn)
 
+    def verdict(self, insn: Instruction) -> bool | None:
+        left = self.left.verdict(insn)
+        if left is True:
+            return True
+        right = self.right.verdict(insn)
+        if right is True:
+            return True
+        return None if left is None or right is None else False
+
 
 @dataclass(frozen=True)
 class And(Node):
@@ -131,6 +162,15 @@ class And(Node):
     def evaluate(self, insn: Instruction) -> bool:
         return self.left.evaluate(insn) and self.right.evaluate(insn)
 
+    def verdict(self, insn: Instruction) -> bool | None:
+        left = self.left.verdict(insn)
+        if left is False:
+            return False
+        right = self.right.verdict(insn)
+        if right is False:
+            return False
+        return None if left is None or right is None else True
+
 
 @dataclass(frozen=True)
 class Not(Node):
@@ -138,6 +178,10 @@ class Not(Node):
 
     def evaluate(self, insn: Instruction) -> bool:
         return not self.operand.evaluate(insn)
+
+    def verdict(self, insn: Instruction) -> bool | None:
+        value = self.operand.verdict(insn)
+        return None if value is None else not value
 
 
 _FIELDS: dict[str, Callable[[Instruction], object]] = {
@@ -148,6 +192,9 @@ _FIELDS: dict[str, Callable[[Instruction], object]] = {
     "target": lambda i: i.target,
     "mem-width": lambda i: facts_for(i).mem_width,
 }
+
+#: Fields a shape key does not fix: a comparison on one has no verdict.
+_POSITIONAL = frozenset({"size", "addr", "target"})
 
 _NUMERIC_CMPS = {
     "<": lambda a, b: a < b,
@@ -177,6 +224,11 @@ class Comparison(Node):
         if actual is None:
             return False
         return _NUMERIC_CMPS[self.op](actual, self.value)
+
+    def verdict(self, insn: Instruction) -> bool | None:
+        if self.field in _POSITIONAL:
+            return None
+        return super().verdict(insn)
 
 
 _BAREWORDS: dict[str, Callable[[Instruction], bool]] = {
@@ -354,7 +406,8 @@ def parse(source: str) -> Node:
     return _Parser(tokenize(source)).parse()
 
 
-def compile_matcher(source: str) -> Callable[[Instruction], bool]:
-    """Compile an expression into an ``Instruction -> bool`` predicate."""
-    ast = parse(source)
-    return ast.evaluate
+def compile_matcher(source: str) -> Node:
+    """Compile an expression into an ``Instruction -> bool`` predicate:
+    its root node, which also gives the per-shape :meth:`Node.verdict`
+    that :meth:`~repro.x86.fastscan.InstructionStream.select` reads."""
+    return parse(source)

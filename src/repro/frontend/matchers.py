@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.x86.fastscan import SB_CALL, SB_JUMP, SB_VALID, SB_WRITE
 from repro.x86.flow import is_heap_write
 from repro.x86.insn import Instruction
 from repro.x86.tables import Flow
@@ -48,6 +49,13 @@ def match_calls(insn: Instruction) -> bool:
     """Direct calls (useful for call-tracing applications)."""
     return _is_real(insn) and insn.mnemonic == "call" and insn.is_direct_branch
 
+
+# The candidate bit of each named matcher: every instruction it accepts
+# has that SB_* bit set, so InstructionStream.select runs it only there.
+match_jumps.candidate_bit = SB_JUMP
+match_heap_writes.candidate_bit = SB_WRITE
+match_all.candidate_bit = SB_VALID
+match_calls.candidate_bit = SB_CALL
 
 MATCHERS: dict[str, Matcher] = {
     "jumps": match_jumps,

@@ -17,7 +17,7 @@ about.  This module rebuilds bulk decoding around two observations:
    ``next[i] = i + max(L[i], 1)`` is composed in O(log) doubling steps
    (``n16 = next^16``); a Python loop then touches only every 16th
    instruction (the *anchors*) and the intervening 15 starts are filled
-   by vectorized gathers.  Work is windowed (2 MB).
+   by vectorized gathers.  Work is windowed (256 KB).
 
 The result is an :class:`InstructionStream`: a lazy, zero-copy sequence
 of instruction *positions* that materializes real
@@ -66,9 +66,10 @@ __all__ = [
 ]
 
 # Candidate/validity bits kept per instruction start.  The JUMP/CALL/
-# WRITE bits are conservative *supersets* of the frontend matchers (see
-# InstructionStream.select): vectorized selection may only ever
-# over-approximate, the exact Python predicate always runs last.
+# WRITE bits are conservative *supersets* of the named frontend matchers,
+# which declare theirs as ``candidate_bit`` (see InstructionStream.select):
+# vectorized selection may only ever over-approximate, the exact Python
+# predicate always runs last.
 SB_JUMP = 1  # Flow.JMP / Flow.JCC
 SB_CALL = 2  # Flow.CALL (direct rel32 call)
 SB_WRITE = 4  # may write memory (modrm store, group store, string store)
@@ -80,7 +81,10 @@ SB_VALID = 8  # position decodes (not a "(bad)" byte)
 #: and is invalidated regardless of the byte read.
 _LOOKAHEAD = MAX_INSN_LEN - 1
 
-_WINDOW = 1 << 21  # scan window: big enough to amortize, small enough to cache
+# Scan window: the walk's two intp step buffers hold 8 bytes per offset,
+# 2 MB each at 256 KB, so the pair the composing gathers read and write
+# stays about the size of a 4 MiB L2.
+_WINDOW = 1 << 18
 _MIN_VECTOR = 4096  # below this the numpy fixed costs beat the scalar loop
 
 
@@ -227,6 +231,7 @@ _K_REX = 26  # 5 bits: REX present, then its W R X B bits
 _K_PFX = 31  # 3 bits: 66, F2, F3 present
 _K_VEX = 1 << 34
 _K_VALID = 1 << 35
+_VEX_KEY = _K_VALID | _K_VEX
 
 
 def _cand_of(insn: Instruction) -> int:
@@ -423,24 +428,6 @@ def _vector_walk(buf):
 # The lazy instruction stream.
 # ---------------------------------------------------------------------------
 
-_MATCHER_BITS = None
-
-
-def _matcher_bit(fn) -> int | None:
-    """SB_* candidate bit for a known frontend matcher, else None."""
-    global _MATCHER_BITS
-    if _MATCHER_BITS is None:
-        from repro.frontend import matchers as _m
-
-        _MATCHER_BITS = {
-            _m.match_all: SB_VALID,
-            _m.match_jumps: SB_JUMP,
-            _m.match_calls: SB_CALL,
-            _m.match_heap_writes: SB_WRITE,
-        }
-    return _MATCHER_BITS.get(fn)
-
-
 class InstructionStream(Sequence):
     """Lazy, zero-copy sequence of decoded instructions.
 
@@ -526,25 +513,49 @@ class InstructionStream(Sequence):
         return list(starts)
 
     def select(self, matcher: Callable[[Instruction], bool]) -> list[Instruction]:
-        """``[i for i in self if matcher(i)]``, accelerated when possible.
+        """``[i for i in self if matcher(i)]``, accelerated by what the
+        matcher declares.
 
-        For the stock frontend matchers the candidate bits prune the
-        stream first; the exact predicate still runs on every candidate,
-        so the result is identical to the brute-force filter (the bits
-        are supersets by construction).
+        * ``matcher.candidate_bit`` (the named frontend matchers): an
+          SB_* bit set at every start the matcher can accept; the
+          predicate runs only on those starts.
+        * ``matcher.verdict`` (a compiled match expression): ``True``,
+          ``False`` or ``None`` (unknown) for a whole shape, asked once
+          on one representative per shape key (numpy-backed streams).
+          Starts of a ``True`` shape are kept without running the
+          predicate, and starts of a ``False`` shape are dropped
+          without being materialized; the predicate runs only on
+          unknown shapes and on VEX/EVEX starts, whose key fixes none
+          of their fields.
+        * Anything else, or a verdict on a stdlib-backed stream: the
+          predicate runs on every start.
+
+        The result is the brute-force filter's: the same objects in the
+        same order.
         """
-        bit = _matcher_bit(matcher)
-        if bit is None:
+        bit = getattr(matcher, "candidate_bit", None)
+        if bit is not None:
+            mbits = self._mbits
+            if HAVE_NUMPY and isinstance(mbits, _np.ndarray):
+                idx = _np.flatnonzero(mbits & _np.uint8(bit)).tolist()
+            else:
+                idx = [i for i, b in enumerate(mbits) if b & bit]
+            return [insn for insn in map(self.__getitem__, idx) if matcher(insn)]
+        verdict = getattr(matcher, "verdict", None)
+        shapes = None if verdict is None else self.shapes()
+        if shapes is None:
             return [insn for insn in self if matcher(insn)]
-        mbits = self._mbits
-        if HAVE_NUMPY and isinstance(mbits, _np.ndarray):
-            idx = _np.nonzero(mbits & _np.uint8(bit))[0].tolist()
-        else:
-            idx = [i for i, b in enumerate(mbits) if b & bit]
+        keys, reps, inverse = shapes
+        answers = [verdict(self[r]) for r in reps.tolist()]
+        # Per shape: 0 drop, 1 keep, 2 run the predicate.
+        code = _np.array([2 if a is None else a for a in answers], _np.uint8)
+        code[keys == _VEX_KEY] = 2
+        per = code[inverse]
+        idx = _np.flatnonzero(per)
         out = []
-        for i in idx:
+        for i, c in zip(idx.tolist(), per[idx].tolist()):
             insn = self[i]
-            if matcher(insn):
+            if c == 1 or matcher(insn):
                 out.append(insn)
         return out
 
@@ -572,14 +583,21 @@ class InstructionStream(Sequence):
         """One int64 *shape key* per instruction start, or None for a
         stdlib-backed stream.
 
-        A key holds exactly the fields that
-        :func:`repro.analysis.facts.facts_for` and the decoder's
-        ``flow``/``imm_size`` read (layout at ``_K_*``): validity,
-        VEX-ness, which of 66/F2/F3 occur in the prefix run, the REX
-        byte, the opcode map and opcode, and the ModRM and SIB bytes
-        (0 where absent).  So starts with equal keys decode to
-        instructions with equal facts, flow and branch-immediate size.
-        Every invalid start gets key 0.
+        A key packs (layout at ``_K_*``) validity, VEX-ness, which of
+        66/F2/F3 occur in the prefix run, the REX byte, the opcode map
+        and opcode, and the ModRM and SIB bytes (0 where absent).  Every
+        invalid start gets key 0; every VEX/EVEX start gets one key.
+
+        For two valid non-VEX starts with equal keys, the decoder gives
+        equal ``mnemonic`` (group rows pick by ModRM.reg, REX.B turns
+        ``90`` into ``xchg``, F3 makes ``pause`` and the ``F3 0F 7E``
+        load), ``opcode``, ``flow``, ``writes_rm``, ``string_write``,
+        ``rm_kind``, ``mem_base`` and branch ``imm_size``, and
+        :func:`repro.analysis.facts.facts_for` gives equal facts.  The
+        key does *not* fix: the address, the length and the prefix
+        count; the 67 prefix, which sets a moffs immediate to 4 or 8
+        bytes (never 0); displacement and immediate values, so neither
+        a branch ``target``; nor any VEX/EVEX field.
         """
         starts = self._starts
         if not (HAVE_NUMPY and isinstance(starts, _np.ndarray)):
@@ -615,8 +633,20 @@ class InstructionStream(Sequence):
         sib = _np.where(has_sib, bp[p + 1], 0)
         key = (sib | modrm << _K_MODRM | op << _K_OPCODE | opmap << _K_MAP
                | rex_field << _K_REX | pfx << _K_PFX | _K_VALID)
-        keys[ok] = _np.where(cls == _VEX, _K_VALID | _K_VEX, key)
+        keys[ok] = _np.where(cls == _VEX, _VEX_KEY, key)
         return keys
+
+    def shapes(self):
+        """``(keys, reps, inverse)`` over the distinct :meth:`shape_keys`,
+        or None for a stdlib-backed stream: the keys in ascending order,
+        the stream index of each key's first start (its representative)
+        and, per start, the position of its key.  Callers ask a
+        question once per shape, on ``self[reps[k]]``, and gather the
+        answers with ``inverse``."""
+        keys = self.shape_keys()
+        if keys is None:
+            return None
+        return _np.unique(keys, return_index=True, return_inverse=True)
 
     def branch_targets(self, idx, imm_sizes):
         """Stream indices of the targets of the direct branches at

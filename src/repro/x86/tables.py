@@ -509,7 +509,10 @@ TWO_BYTE[0xAA] = OpSpec("rsm")
 TWO_BYTE[0xAB] = OpSpec("bts", modrm=True, effects=_BT_W)
 TWO_BYTE[0xAC] = OpSpec("shrd", modrm=True, imm=Imm.IB, effects=STORE)
 TWO_BYTE[0xAD] = OpSpec("shrd", modrm=True, effects=STORE)
-TWO_BYTE[0xAE] = OpSpec("grp15", modrm=True)
+# grp15: /0 fxsave, /3 stmxcsr, /4 xsave and /6 xsaveopt store (the
+# prefixed /6 forms clwb and ptwrite only over-approximate).
+TWO_BYTE[0xAE] = OpSpec("grp15", modrm=True, effects=(
+    STORE, UNKNOWN, UNKNOWN, STORE, STORE, UNKNOWN, STORE, UNKNOWN))
 TWO_BYTE[0xAF] = OpSpec("imul", modrm=True, effects=replace(_IMUL, reg_r=True))
 
 _pair(TWO_BYTE, 0xB0, "cmpxchg", Effects(rm_r=True, rm_w=True, reg_r=True, reads=_RAX,
@@ -543,9 +546,9 @@ TWO_BYTE[0xC3] = OpSpec("movnti", modrm=True, effects=STORE)
 TWO_BYTE[0xC4] = OpSpec("pinsrw", modrm=True, imm=Imm.IB)
 TWO_BYTE[0xC5] = OpSpec("pextrw", modrm=True, imm=Imm.IB)
 TWO_BYTE[0xC6] = OpSpec("shufps", modrm=True, imm=Imm.IB)
-# grp9: /1 is cmpxchg8b/16b.
-TWO_BYTE[0xC7] = OpSpec("grp9", modrm=True,
-                        effects=(UNKNOWN, STORE) + (UNKNOWN,) * 6)
+# grp9: /1 cmpxchg8b/16b, /4 xsavec, /5 xsaves and /7 vmptrst store.
+TWO_BYTE[0xC7] = OpSpec("grp9", modrm=True, effects=(
+    UNKNOWN, STORE, UNKNOWN, UNKNOWN, STORE, STORE, UNKNOWN, STORE))
 for _i in range(8):
     TWO_BYTE[0xC8 + _i] = OpSpec("bswap", effects=Effects(plusr_r=True, plusr_w=True))
 

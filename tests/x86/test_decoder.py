@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis.facts import facts_for
 from repro.errors import DecodeError
 from repro.x86.decoder import decode, decode_all, decode_buffer
+from repro.x86.flow import is_heap_write, is_memory_write
 from repro.x86.insn import OperandKind
 from repro.x86.tables import Flow
 
@@ -220,6 +222,27 @@ VEX_LOADS = (
     "c5 f8 ae 10",  # vldmxcsr (%rax) (VEX.0F AE /2)
 )
 
+#: Legacy group-opcode (0F AE grp15, 0F C7 grp9) stores, as objdump
+#: prints them.
+GROUP_STORES = (
+    "0f ae 00",  # fxsave (%rax)
+    "0f ae 18",  # stmxcsr (%rax)
+    "0f ae 20",  # xsave (%rax)
+    "48 0f ae 30",  # xsaveopt64 (%rax)
+    "0f c7 08",  # cmpxchg8b (%rax)
+    "0f c7 20",  # xsavec (%rax)
+    "0f c7 28",  # xsaves (%rax)
+    "0f c7 38",  # vmptrst (%rax)
+)
+
+#: Loads in the same groups.
+GROUP_LOADS = (
+    "0f ae 08",  # fxrstor (%rax)
+    "0f ae 10",  # ldmxcsr (%rax)
+    "0f ae 28",  # xrstor (%rax)
+    "0f c7 30",  # vmptrld (%rax)
+)
+
 
 class TestWriteDetection:
     def test_mov_store(self):
@@ -277,6 +300,18 @@ class TestWriteDetection:
 
     @pytest.mark.parametrize("hexstr", VEX_LOADS)
     def test_vex_load_does_not_write(self, hexstr):
+        assert not d(hexstr).writes_rm
+
+    @pytest.mark.parametrize("hexstr", GROUP_STORES)
+    def test_group_store_writes(self, hexstr):
+        insn = d(hexstr)
+        assert insn.writes_rm
+        assert is_memory_write(insn) and is_heap_write(insn)
+        # The facts stay unknown: xsave* also read EDX:EAX implicitly.
+        assert not facts_for(insn).known
+
+    @pytest.mark.parametrize("hexstr", GROUP_LOADS)
+    def test_group_load_does_not_write(self, hexstr):
         assert not d(hexstr).writes_rm
 
 

@@ -25,7 +25,12 @@ from repro.frontend.matchers import (
 from repro.x86 import fastscan as fs
 from repro.x86.decoder import MAX_INSN_LEN, decode, decode_buffer
 from repro.x86.fastscan import HAVE_NUMPY, InstructionStream, decode_stream
-from tests.x86.test_decoder import VEX_LOADS, VEX_STORES
+from tests.x86.test_decoder import (
+    GROUP_LOADS,
+    GROUP_STORES,
+    VEX_LOADS,
+    VEX_STORES,
+)
 
 requires_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="vector fast path needs numpy")
@@ -150,6 +155,8 @@ CORPORA = {
                                        "488907" "c3"),
     "vex-stores": b"\x90".join(bytes.fromhex(h)
                                for h in VEX_STORES + VEX_LOADS),
+    "group-stores": b"\x90".join(bytes.fromhex(h)
+                                 for h in GROUP_STORES + GROUP_LOADS),
 }
 
 
@@ -215,7 +222,8 @@ class TestSelect:
     @pytest.mark.parametrize("matcher", [match_all, match_jumps,
                                          match_calls, match_heap_writes])
     @pytest.mark.parametrize("name", ["random", "prefix-heavy", "real-text",
-                                      "three-byte-stores", "vex-stores"])
+                                      "three-byte-stores", "vex-stores",
+                                      "group-stores"])
     def test_select_equals_brute_force(self, name, matcher):
         data = CORPORA[name]
         stream = decode_stream(data, address=0x400000, min_vector_bytes=0)

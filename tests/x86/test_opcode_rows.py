@@ -36,7 +36,7 @@ from repro.x86.decoder import decode
 
 #: sha256 of the enumeration below.  Change it only together with the
 #: rows a change means to move, and say which rows those are.
-ROWS_DIGEST = "9edc1059108693f1149d18a9a3e422b4f8a608c64048dbbed46663ff76ed9436"
+ROWS_DIGEST = "465a64d60e7a8d3cad2a6b42149c3bb7373fd2a11b346c1925b688403837bfdf"
 
 HEADS = (b"", b"\x66", b"\xf2", b"\xf3", b"\xf0", b"\x41", b"\x48",
          b"\x66\x48", b"\xf3\x48")

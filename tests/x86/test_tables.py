@@ -78,7 +78,8 @@ class TestOneByteMap:
             0xD9: {2, 3, 6, 7}, 0xDB: {1, 2, 3, 7},  # x87 stores
             0xDD: {1, 2, 3, 6, 7}, 0xDF: {1, 2, 3, 6, 7},
             0x0FBA: {5, 6, 7},  # bts/btr/btc imm forms
-            0x0FC7: {1},  # cmpxchg8b/16b
+            0x0FAE: {0, 3, 4, 6},  # fxsave, stmxcsr, xsave, xsaveopt
+            0x0FC7: {1, 4, 5, 7},  # cmpxchg8b/16b, xsavec, xsaves, vmptrst
         }
 
     def test_operand_effects_need_modrm(self):
