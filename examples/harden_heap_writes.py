@@ -15,7 +15,7 @@ from repro.core.pipeline import RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.elf.reader import ElfFile
 from repro.frontend.lineardisasm import disassemble_text
-from repro.frontend.matchers import match_heap_writes
+from repro.frontend.matchers import match_heap_writes, select_sites
 from repro.lowfat import (
     LowFatAllocator,
     LowFatLayout,
@@ -29,7 +29,7 @@ from repro.vm.machine import run_elf
 def harden(image: bytes, layout: LowFatLayout):
     elf = ElfFile(image)
     instructions = disassemble_text(elf)
-    sites = [i for i in instructions if match_heap_writes(i)]
+    sites = select_sites(instructions, match_heap_writes)
     ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
                          instructions=instructions)
     checker = install_lowfat_heap(ctx, layout)

@@ -10,18 +10,17 @@ Run:  python3 examples/protocol_session.py
 """
 
 import base64
-import json
 
 from repro import E9PatchSession, ElfFile, Machine, disassemble_text
-from repro.frontend.matchers import match_calls
+from repro.frontend.matchers import match_calls, select_sites
 from repro.synth.generator import SynthesisParams, synthesize
 
 
 def main() -> None:
     binary = synthesize(SynthesisParams(
         n_jump_sites=40, n_write_sites=40, seed=7777, loop_iters=2))
-    call_sites = [i.address for i in disassemble_text(ElfFile(binary.data))
-                  if match_calls(i)][:3]
+    call_sites = [i.address for i in select_sites(
+        disassemble_text(ElfFile(binary.data)), match_calls)][:3]
 
     messages = [
         {"method": "binary",

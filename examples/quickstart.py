@@ -15,7 +15,7 @@ from repro.elf import constants as elfc
 from repro.elf.builder import TinyProgram
 from repro.elf.reader import ElfFile
 from repro.frontend.lineardisasm import disassemble_text
-from repro.frontend.matchers import match_jumps
+from repro.frontend.matchers import match_jumps, select_sites
 from repro.vm.machine import Machine, run_elf
 
 
@@ -53,7 +53,7 @@ def main() -> None:
     # 1. Frontend: linear disassembly + the A1 (jumps) matcher.
     elf = ElfFile(image)
     instructions = disassemble_text(elf)
-    sites = [i for i in instructions if match_jumps(i)]
+    sites = select_sites(instructions, match_jumps)
     print(f"\npatch sites ({len(sites)}):")
     for insn in sites:
         print(f"  {insn}")

@@ -275,8 +275,5 @@ class AddressSpace:
         for p, n in self._page_refs.items():
             assert n > 0, f"page {p:#x} has non-positive refcount {n}"
 
-    def is_free(self, lo: int, hi: int) -> bool:
-        return self.free.contains(lo, hi)
-
     def used_bytes(self) -> int:
         return sum(a.size for a in self.allocations.values())

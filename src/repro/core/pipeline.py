@@ -353,16 +353,12 @@ class DecodePass(PipelinePass):
         from repro.frontend.lineardisasm import (
             disassemble_functions,
             disassemble_text,
-            disassemble_text_stream,
         )
 
         if self.frontend == "symbols":
             ctx.instructions = disassemble_functions(ctx.elf)
         elif self.frontend == "linear":
-            stream = disassemble_text_stream(ctx.elf)
-            ctx.instructions = (
-                stream if stream is not None else disassemble_text(ctx.elf)
-            )
+            ctx.instructions = disassemble_text(ctx.elf)
         else:
             raise ValueError(f"unknown frontend {self.frontend!r}")
         insns = ctx.instructions
@@ -385,11 +381,10 @@ class MatchPass(PipelinePass):
     def execute(self, ctx: RewriteContext) -> None:
         if ctx.instructions is None:
             raise PatchError("MatchPass needs a decoded instruction stream")
-        select = getattr(ctx.instructions, "select", None)
-        if select is not None:  # InstructionStream: candidate-bit pruning
-            ctx.sites = select(self.matcher)
-        else:
-            ctx.sites = [i for i in ctx.instructions if self.matcher(i)]
+        # Imported here for the same reason as in DecodePass.
+        from repro.frontend.matchers import select_sites
+
+        ctx.sites = select_sites(ctx.instructions, self.matcher)
         ctx.observer.count("match.sites", len(ctx.sites))
 
 

@@ -21,7 +21,6 @@ from repro.frontend.tool import instrument_elf, rewrite_many
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.synth.profiles import BinaryProfile
 from repro.vm.machine import Machine, TrapHandler, run_elf
-from repro.x86.decoder import decode
 
 
 @dataclass
@@ -114,10 +113,10 @@ def b0_slowdown(seed: int = 5, n_sites: int = 40, loop_iters: int = 3) -> tuple[
     # B0: int3 at every site, trap handler emulates the instruction.
     from repro.elf.reader import ElfFile
     from repro.frontend.lineardisasm import disassemble_text
-    from repro.frontend.matchers import match_jumps
+    from repro.frontend.matchers import match_jumps, select_sites
 
     elf = ElfFile(binary.data)
-    sites = [i for i in disassemble_text(elf) if match_jumps(i)]
+    sites = select_sites(disassemble_text(elf), match_jumps)
     data = bytearray(binary.data)
     machine = Machine(bytes(data))
     for insn in sites:

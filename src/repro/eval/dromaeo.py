@@ -19,7 +19,7 @@ from repro.core.strategy import PatchRequest
 from repro.core.trampoline import Empty
 from repro.elf.reader import ElfFile
 from repro.frontend.lineardisasm import disassemble_text
-from repro.frontend.matchers import match_heap_writes
+from repro.frontend.matchers import match_heap_writes, select_sites
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.vm.machine import run_elf
 
@@ -73,7 +73,7 @@ def _run_suite(suite: str, browser: str, seed: int) -> DromaeoResult:
 
     elf = ElfFile(binary.data)
     instructions = disassemble_text(elf)
-    sites = [i for i in instructions if match_heap_writes(i)]
+    sites = select_sites(instructions, match_heap_writes)
     coverage = BROWSER_COVERAGE[browser]
     n_instrumented = int(len(sites) * coverage)
     sites = sites[:n_instrumented]

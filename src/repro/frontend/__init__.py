@@ -1,7 +1,7 @@
 """Frontend: disassembly wrapper and patch-site matchers (the paper's
 "basic wrapper frontend" + the e9tool analogue)."""
 
-from repro.frontend.lineardisasm import disassemble_text, disassemble_section
+from repro.frontend.lineardisasm import disassemble_text
 from repro.frontend.matchers import (
     MATCHERS,
     match_jumps,
@@ -12,7 +12,6 @@ from repro.frontend.tool import instrument_elf, InstrumentReport
 
 __all__ = [
     "disassemble_text",
-    "disassemble_section",
     "MATCHERS",
     "match_jumps",
     "match_heap_writes",

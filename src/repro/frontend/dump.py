@@ -19,7 +19,7 @@ import argparse
 from collections import Counter
 
 from repro.elf.reader import ElfFile
-from repro.frontend.matchers import Matcher, resolve_matcher
+from repro.frontend.matchers import Matcher, resolve_matcher, select_sites
 from repro.frontend.tool import prepare_binary
 
 
@@ -54,7 +54,7 @@ def summarize(data: bytes, matcher: Matcher,
               frontend: str = "linear") -> list[str]:
     """Site statistics: counts by mnemonic and by instruction length."""
     instructions = prepare_binary(data, frontend=frontend).instructions
-    sites = [i for i in instructions if matcher(i)]
+    sites = select_sites(instructions, matcher)
     by_mnemonic = Counter(i.mnemonic for i in sites)
     by_length = Counter(i.length for i in sites)
     lines = [

@@ -13,54 +13,33 @@ from __future__ import annotations
 from repro.errors import ElfError
 from repro.elf.reader import ElfFile
 from repro.x86.decoder import decode_buffer
+from repro.x86.fastscan import InstructionStream, decode_stream
 from repro.x86.insn import Instruction
 
 
-def disassemble_section(elf: ElfFile, name: str) -> list[Instruction]:
-    """Linearly disassemble the named section."""
-    sec = elf.section(name)
-    if sec is None:
-        raise ElfError(f"binary has no {name!r} section")
-    data = elf.section_bytes(name)
-    return decode_buffer(data, address=sec.vaddr)
+def disassemble_text(elf: ElfFile) -> InstructionStream | list[Instruction]:
+    """Linearly disassemble the code region: ``.text``, or the executable
+    segment of a binary stripped of section headers.
 
-
-def disassemble_text_stream(elf: ElfFile):
-    """Zero-copy stream variant of :func:`disassemble_text`.
-
-    Decodes the code region into a lazy
-    :class:`~repro.x86.fastscan.InstructionStream` over a read-only
-    ``memoryview`` of the ELF image — no section-bytes copy, no eager
-    ``Instruction`` materialization.
-
-    Returns ``None`` when the layout needs the legacy list path (a
-    stripped binary with several executable segments — streams cover one
-    contiguous region).
+    One region decodes into a lazy
+    :class:`~repro.x86.fastscan.InstructionStream` over a read-only view
+    of the ELF image: no bytes are copied and no ``Instruction`` is built
+    until a consumer reads it.  A stripped binary with several
+    executable segments decodes eagerly into one list (a stream covers
+    one contiguous region).
     """
-    from repro.x86.fastscan import decode_stream
-
     sec = elf.section(".text")
     if sec is not None:
         return decode_stream(elf.section_view(".text"), sec.vaddr)
-    segs = [seg for seg in elf.load_segments() if seg.executable]
-    if len(segs) != 1:
-        return None
-    phdr = segs[0].phdr
-    view = memoryview(elf.data)[phdr.offset : phdr.offset + phdr.filesz]
-    return decode_stream(view, phdr.vaddr)
-
-
-def disassemble_text(elf: ElfFile) -> list[Instruction]:
-    """Disassemble ``.text``, falling back to the executable segment when
-    the binary is stripped of section headers."""
-    if elf.section(".text") is not None:
-        return disassemble_section(elf, ".text")
+    phdrs = [seg.phdr for seg in elf.load_segments() if seg.executable]
+    if len(phdrs) == 1:
+        [p] = phdrs
+        view = memoryview(elf.data)[p.offset : p.offset + p.filesz]
+        return decode_stream(view, p.vaddr)
     insns: list[Instruction] = []
-    for seg in elf.load_segments():
-        if not seg.executable:
-            continue
-        data = elf.data[seg.phdr.offset : seg.phdr.offset + seg.phdr.filesz]
-        insns.extend(decode_buffer(data, address=seg.phdr.vaddr))
+    for p in phdrs:
+        data = elf.data[p.offset : p.offset + p.filesz]
+        insns.extend(decode_buffer(data, address=p.vaddr))
     return insns
 
 

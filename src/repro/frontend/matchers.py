@@ -7,9 +7,15 @@ evaluated in the paper's Table 1; ``all`` patches every real instruction
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.x86.fastscan import SB_CALL, SB_JUMP, SB_VALID, SB_WRITE
+from repro.x86.fastscan import (
+    SB_CALL,
+    SB_JUMP,
+    SB_VALID,
+    SB_WRITE,
+    InstructionStream,
+)
 from repro.x86.flow import is_heap_write
 from repro.x86.insn import Instruction
 from repro.x86.tables import Flow
@@ -82,7 +88,14 @@ def resolve_matcher(spec: Matcher | str | None) -> Matcher | None:
 
 
 def select_sites(
-    instructions: list[Instruction], matcher: Matcher
+    instructions: Sequence[Instruction], matcher: Matcher
 ) -> list[Instruction]:
-    """All instructions selected by *matcher*, in address order."""
+    """All instructions selected by *matcher*, in address order.
+
+    A stream selects through :meth:`InstructionStream.select`, which
+    materializes only the instructions the matcher may accept; any
+    other sequence is filtered.
+    """
+    if isinstance(instructions, InstructionStream):
+        return instructions.select(matcher)
     return [i for i in instructions if matcher(i)]

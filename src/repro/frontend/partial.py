@@ -105,14 +105,13 @@ def patch_addresses(
     from repro.core.trampoline import Empty
 
     elf = ElfFile(data)
-    instructions = decode_windows(elf, sites)
-    index = {i.address: i for i in instructions}
-    missing = [s for s in sites if s not in index]
-    if missing:
-        raise PatchError(f"sites not decodable: {[hex(s) for s in missing]}")
     ctx = RewriteContext(elf=elf, options=options or RewriteOptions(),
-                         instructions=instructions)
+                         instructions=decode_windows(elf, sites))
+    insns = [ctx.tactics.insn_at(s) for s in sites]
+    missing = [hex(s) for s, insn in zip(sites, insns) if insn is None]
+    if missing:
+        raise PatchError(f"sites not decodable: {missing}")
     return ctx.rewrite(
-        [PatchRequest(insn=index[s], instrumentation=instrumentation or Empty())
-         for s in sites]
+        [PatchRequest(insn=insn, instrumentation=instrumentation or Empty())
+         for insn in insns]
     )

@@ -186,7 +186,6 @@ class E9PatchSession:
                 set(self.declared_sites) | {p.address for p in self.patches}))
         else:
             instructions = disassemble_text(elf)
-        index = {i.address: i for i in instructions}
 
         ctx = RewriteContext(elf=elf, options=self.options,
                              instructions=instructions)
@@ -196,7 +195,7 @@ class E9PatchSession:
 
         requests = []
         for pending in self.patches:
-            insn = index.get(pending.address)
+            insn = ctx.tactics.insn_at(pending.address)
             if insn is None:
                 raise PatchError(
                     f"no instruction at {pending.address:#x}")

@@ -8,7 +8,7 @@ all of which are computed here directly from the Intel encoding grammar.
 """
 
 from repro.x86.insn import Instruction, OperandKind
-from repro.x86.decoder import decode, decode_all, decode_buffer
+from repro.x86.decoder import decode, decode_buffer
 from repro.x86.encoder import (
     encode_jmp_rel32,
     encode_jmp_rel8,
@@ -29,7 +29,6 @@ __all__ = [
     "Instruction",
     "OperandKind",
     "decode",
-    "decode_all",
     "decode_buffer",
     "encode_jmp_rel32",
     "encode_jmp_rel8",

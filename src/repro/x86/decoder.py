@@ -26,7 +26,7 @@ from functools import cache
 from repro.errors import DecodeError
 from repro.x86 import prefixes as pfx
 from repro.x86 import tables
-from repro.x86.insn import DecodedRegion, Instruction
+from repro.x86.insn import Instruction
 from repro.x86.tables import F_INVALID64, F_STRING_WRITE, Flow, Imm, OpSpec
 
 MAX_INSN_LEN = 15
@@ -361,22 +361,8 @@ def _imm_bytes(kind: Imm, opsize16: bool, rexw: bool, opcode: int,
 # ---------------------------------------------------------------------------
 
 
-def decode_all(data: bytes, address: int = 0) -> DecodedRegion:
-    """Linearly decode an entire buffer, raising on any invalid byte."""
-    region = DecodedRegion(address=address, data=data)
-    append = region.instructions.append
-    _decode = decode
-    off = 0
-    n = len(data)
-    while off < n:
-        insn = _decode(data, off, address + off)
-        append(insn)
-        off += insn._len
-    return region
-
-
 def decode_buffer(data: bytes, address: int = 0) -> list[Instruction]:
-    """Like :func:`decode_all` but skipping undecodable bytes.
+    """Linearly decode an entire buffer, skipping undecodable bytes.
 
     On a decode error, a single byte is skipped (recorded as a ``(bad)``
     pseudo-instruction) and decoding resumes — the behaviour of a robust

@@ -28,9 +28,9 @@ structural: every materialized object *is* a scalar-decoder object, and
 the vectorized part only ever computes *where instructions start*, which
 is differentially tested against the scalar walk at every offset.
 
-Everything degrades gracefully: without NumPy (or below a size floor)
-:func:`decode_stream` falls back to the scalar sweep and returns the
-same stream type with the same semantics.
+With NumPy, :func:`decode_stream` vector-walks buffers of every size.
+Without it, the scalar sweep fills the same stream type, with the same
+semantics, over stdlib arrays.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ _LOOKAHEAD = MAX_INSN_LEN - 1
 # 2 MB each at 256 KB, so the pair the composing gathers read and write
 # stays about the size of a 4 MiB L2.
 _WINDOW = 1 << 18
-_MIN_VECTOR = 4096  # below this the numpy fixed costs beat the scalar loop
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +234,7 @@ _VEX_KEY = _K_VALID | _K_VEX
 
 
 def _cand_of(insn: Instruction) -> int:
-    """Candidate bits of a scalar-decoded instruction (fallback path)."""
+    """Candidate bits of a scalar-decoded instruction (stdlib path)."""
     bits = 0
     flow = insn.flow.value
     if flow == 1 or flow == 2:
@@ -694,17 +693,11 @@ def _rebuild_stream(buf, address, sblob, mblob):
 
 
 def _stream_from_insns(buf, address: int, insns: list[Instruction]):
-    """Wrap an eager scalar decode as a stream (fallback path)."""
-    offs = [i.address - address for i in insns]
-    bits = [
+    """Wrap an eager scalar decode as a stdlib-backed stream."""
+    starts = array("i", [i.address - address for i in insns])
+    mbits = bytes(
         0 if i.mnemonic == "(bad)" else SB_VALID | _cand_of(i) for i in insns
-    ]
-    if HAVE_NUMPY:
-        starts = _np.array(offs, _np.int32) if offs else _np.empty(0, _np.int32)
-        mbits = _np.array(bits, _np.uint8) if bits else _np.empty(0, _np.uint8)
-    else:
-        starts = array("i", offs)
-        mbits = bytes(bits)
+    )
     stream = InstructionStream(buf, address, starts, mbits)
     stream._cache = dict(enumerate(insns))
     return stream
@@ -721,23 +714,17 @@ def _freeze(data):
     return bytes(data)
 
 
-def decode_stream(
-    data,
-    address: int = 0,
-    *,
-    min_vector_bytes: int | None = None,
-) -> InstructionStream:
+def decode_stream(data, address: int = 0) -> InstructionStream:
     """Linear-sweep decode *data* into a lazy :class:`InstructionStream`.
 
     Semantics are exactly :func:`~repro.x86.decoder.decode_buffer` —
-    undecodable bytes become single-byte ``(bad)`` entries — but the
-    sweep is vectorized when NumPy is available.  ``min_vector_bytes``
-    overrides the scalar/vector crossover (0 forces the vectorized
-    path).
+    undecodable bytes become single-byte ``(bad)`` entries — but with
+    NumPy the sweep is the vector walk, at every buffer size, and no
+    instruction is materialized until it is read.  Without NumPy the
+    scalar sweep decodes every instruction up front.
     """
     buf = _freeze(data)
-    floor = _MIN_VECTOR if min_vector_bytes is None else min_vector_bytes
-    if not HAVE_NUMPY or len(buf) < floor:
+    if not HAVE_NUMPY:
         return _stream_from_insns(buf, address, decode_buffer(buf, address))
     starts, mbits = _vector_walk(buf)
     return InstructionStream(buf, address, starts, mbits)

@@ -16,7 +16,6 @@ underlying buffer plus ``(start, length)`` — materialized into a
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from repro.x86 import prefixes as pfx
 from repro.x86.tables import Flow
@@ -318,26 +317,3 @@ def _unpickle_insn(state: tuple) -> Instruction:
     insn = Instruction.__new__(Instruction)
     insn.__setstate__(state)
     return insn
-
-
-@dataclass
-class DecodedRegion:
-    """A linearly decoded code region (the frontend's unit of work)."""
-
-    address: int
-    data: bytes
-    instructions: list[Instruction] = field(default_factory=list)
-
-    def at(self, address: int) -> Instruction | None:
-        """Return the instruction starting at *address*, if any."""
-        lo, hi = 0, len(self.instructions)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            insn = self.instructions[mid]
-            if insn.address < address:
-                lo = mid + 1
-            elif insn.address > address:
-                hi = mid
-            else:
-                return insn
-        return None

@@ -3,7 +3,7 @@ must be sound (anything uncertain stays live)."""
 
 from repro.analysis.facts import ALL_FLAGS, ALL_REGS, STATUS_FLAGS, ZF
 from repro.analysis.liveness import LivenessAnalysis, SiteLiveness
-from repro.x86.decoder import decode_all
+from repro.x86.decoder import decode_buffer
 
 RAX, RCX, RDX, RBX, RSP, RBP, RSI, RDI = range(8)
 
@@ -11,8 +11,8 @@ BASE = 0x401000
 
 
 def analyze(hexstr: str) -> LivenessAnalysis:
-    region = decode_all(bytes.fromhex(hexstr.replace(" ", "")), address=BASE)
-    return LivenessAnalysis(region.instructions)
+    insns = decode_buffer(bytes.fromhex(hexstr.replace(" ", "")), address=BASE)
+    return LivenessAnalysis(insns)
 
 
 class TestTop:

@@ -49,7 +49,7 @@ def sequence(kind: str, data: bytes, address: int):
     if kind == "numpy":
         if not HAVE_NUMPY:
             pytest.skip("the shape-keyed columns need numpy")
-        return decode_stream(data, address, min_vector_bytes=0)
+        return decode_stream(data, address)
     if kind == "stdlib":
         return stdlib_stream(data, address)
     return decode_buffer(data, address)

@@ -9,7 +9,7 @@ from repro.core.pipeline import RewriteOptions
 from repro.core.trampoline import _SCRATCH_REGS, CallFunction, Counter
 from repro.frontend.tool import instrument_elf
 from repro.x86 import encoder as enc
-from repro.x86.decoder import decode_all
+from repro.x86.decoder import decode_buffer
 
 
 def synthetic_binary(seed: int = 5, profile: str = "bzip2") -> bytes:
@@ -66,12 +66,12 @@ class TestCounterSlimming:
             "4801d8"  # add rax, rbx: flags dead before this
             "c3"
         )
-        region = decode_all(code, address=0x401000)
+        insns = decode_buffer(code, address=0x401000)
         counter = Counter(0x500000)
-        blind = counter.size(region.instructions[0])
-        counter.bind_liveness(LivenessAnalysis(region.instructions))
-        assert counter.size(region.instructions[0]) == 13
-        saved_bytes, saved_regs = counter.saved_cost(region.instructions[0])
+        blind = counter.size(insns[0])
+        counter.bind_liveness(LivenessAnalysis(insns))
+        assert counter.size(insns[0]) == 13
+        saved_bytes, saved_regs = counter.saved_cost(insns[0])
         assert saved_bytes == blind - 13
         assert saved_regs == 1
 
@@ -93,13 +93,13 @@ class TestCallFunctionClobbers:
         assert set(call.saved) == {enc.R11, enc.RDI}
 
     def test_empty_tuple_body_is_smaller(self):
-        region = decode_all(b"\x90\xc3", address=0x401000)
-        insn = region.instructions[0]
+        insns = decode_buffer(b"\x90\xc3", address=0x401000)
+        insn = insns[0]
         narrow = CallFunction(0x500000, clobbers=())
         broad = CallFunction(0x500000, clobbers=None)
         assert narrow.size(insn) < broad.size(insn)
 
     def test_saved_cost_is_zero_without_liveness(self):
-        region = decode_all(b"\x90\xc3", address=0x401000)
+        insns = decode_buffer(b"\x90\xc3", address=0x401000)
         call = CallFunction(0x500000)
-        assert call.saved_cost(region.instructions[0]) == (0, 0)
+        assert call.saved_cost(insns[0]) == (0, 0)

@@ -28,7 +28,10 @@ from repro.frontend.tool import (
     rewrite_many,
 )
 from repro.synth.generator import SynthesisParams, synthesize
+from repro.synth.profiles import profile_by_name
 from repro.vm.machine import run_elf
+from repro.x86.decoder import decode_buffer
+from repro.x86.fastscan import HAVE_NUMPY, InstructionStream
 
 
 def small_binary(seed: int = 11, n_jump_sites: int = 24) -> bytes:
@@ -243,7 +246,7 @@ class TestCliJson:
 
 class TestStreamDecode:
     """The zero-copy InstructionStream path must be observationally
-    identical to the legacy eager-list path, bytes out included."""
+    identical to the eager-list path, bytes out included."""
 
     def test_stream_and_list_rewrites_byte_identical(self):
         data = small_binary(seed=23, n_jump_sites=40)
@@ -252,7 +255,9 @@ class TestStreamDecode:
 
         ctx = RewriteContext(elf=ElfFile(data),
                              options=RewriteOptions(mode="loader"))
-        ctx.instructions = disassemble_text(ctx.elf)  # eager list
+        text = ctx.elf.section(".text")
+        ctx.instructions = decode_buffer(  # eager list
+            ctx.elf.section_bytes(".text"), text.vaddr)
         [list_report] = rewrite_many(
             ctx, [RewriteOptions(mode="loader")], matcher="jumps")
         assert stream_report.result.data == list_report.result.data
@@ -267,6 +272,23 @@ class TestStreamDecode:
         DecodePass().run(ctx)
         assert isinstance(ctx.instructions, InstructionStream)
         assert obs.counters["decode.bytes"] == ctx.instructions.total_bytes
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="the lazy stream needs numpy")
+    def test_small_text_is_vector_walked(self):
+        """A text far below 4 KB (the 532-byte ``mcf`` stand-in) decodes
+        into a stream that holds no instruction until one is read, and a
+        jumps rewrite reads only a fraction of it."""
+        binary = synthesize(SynthesisParams.from_profile(profile_by_name("mcf")))
+        elf = ElfFile(binary.data)
+        assert elf.section(".text").size < 4096
+        stream = disassemble_text(elf)
+        assert isinstance(stream, InstructionStream) and not stream._cache
+        ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
+                             instructions=stream)
+        [report] = rewrite_many(
+            ctx, [RewriteOptions(mode="loader")], matcher="jumps")
+        assert report.counters["match.sites"] > 0
+        assert len(stream._cache) < len(stream) // 4
 
     def test_match_pass_uses_stream_select(self):
         data = small_binary(seed=23)

@@ -12,7 +12,7 @@ from repro.core.trampoline import (
     trampoline_size,
 )
 from repro.errors import EncodeError, PatchError
-from repro.x86.decoder import decode, decode_all
+from repro.x86.decoder import decode, decode_buffer
 
 
 def d(hexstr: str, address: int = 0x401000):
@@ -54,7 +54,7 @@ class TestRelocate:
         insn = d("e2 05")  # loop +5
         out = relocate(insn, 0x700000)
         assert len(out) == 9 == relocated_size(insn)
-        insns = decode_all(out, address=0x700000).instructions
+        insns = decode_buffer(out, address=0x700000)
         assert insns[0].mnemonic == "loop"
         assert insns[0].target == 0x700004
         assert insns[1].mnemonic == "jmp" and insns[1].target == 0x700009
@@ -91,7 +91,7 @@ class TestTrampolineBuild:
     def test_empty_trampoline_layout(self):
         insn = d("48 89 03")
         code = build_trampoline(insn, Empty(), 0x700000)
-        insns = decode_all(code, address=0x700000).instructions
+        insns = decode_buffer(code, address=0x700000)
         assert insns[0].raw == insn.raw
         assert insns[-1].mnemonic == "jmp"
         assert insns[-1].target == insn.end  # back to the next instruction
@@ -99,14 +99,14 @@ class TestTrampolineBuild:
     def test_unconditional_jmp_has_no_back_jump(self):
         insn = d("eb 10")
         code = build_trampoline(insn, Empty(), 0x700000)
-        insns = decode_all(code, address=0x700000).instructions
+        insns = decode_buffer(code, address=0x700000)
         assert len(insns) == 1
         assert insns[0].target == insn.target
 
     def test_jcc_keeps_back_jump_for_fallthrough(self):
         insn = d("74 10")
         code = build_trampoline(insn, Empty(), 0x700000)
-        insns = decode_all(code, address=0x700000).instructions
+        insns = decode_buffer(code, address=0x700000)
         assert insns[0].mnemonic == "je" and insns[0].target == insn.target
         assert insns[1].mnemonic == "jmp" and insns[1].target == insn.end
 
@@ -121,7 +121,7 @@ class TestTrampolineBuild:
         insn = d("48 89 43 10")  # mov [rbx+0x10], rax
         instr = CallFunction(0x900000, pass_mem_operand=True)
         code = build_trampoline(insn, instr, 0x700000)
-        insns = decode_all(code, address=0x700000).instructions
+        insns = decode_buffer(code, address=0x700000)
         leas = [i for i in insns if i.mnemonic == "lea"]
         # one lea for the red-zone skip, one rebuilding the operand, one restore
         assert any(i.reg == 7 and i.disp == 0x10 for i in leas)  # lea rdi, [rbx+0x10]

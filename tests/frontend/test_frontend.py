@@ -1,11 +1,8 @@
 """Frontend: linear disassembly, matchers on real streams, CLI tool."""
 
-import pytest
-
 from repro.elf.builder import hello_world
 from repro.elf.reader import ElfFile
-from repro.errors import ElfError
-from repro.frontend.lineardisasm import disassemble_section, disassemble_text
+from repro.frontend.lineardisasm import disassemble_text
 from repro.frontend.matchers import MATCHERS, select_sites
 from repro.frontend.tool import instrument_elf, main
 from repro.synth.generator import SynthesisParams, synthesize
@@ -19,11 +16,6 @@ class TestLinearDisasm:
         text = elf.section(".text")
         assert insns[0].address == text.vaddr
         assert sum(i.length for i in insns) == text.size
-
-    def test_missing_section_raises(self):
-        elf = ElfFile(hello_world())
-        with pytest.raises(ElfError):
-            disassemble_section(elf, ".bogus")
 
     def test_stripped_fallback(self):
         # Strip section headers: e_shoff/e_shnum zeroed.

@@ -115,8 +115,7 @@ class _Corpus:
         self.insns = decode_buffer(data, BASE)
         self.streams = [stdlib_stream(data, BASE)]
         if fs.HAVE_NUMPY:
-            self.streams.append(fs.decode_stream(data, BASE,
-                                                 min_vector_bytes=0))
+            self.streams.append(fs.decode_stream(data, BASE))
 
     def check(self, source: str) -> None:
         """Each route's selection is the brute-force filter's."""
@@ -194,8 +193,7 @@ class TestVerdict:
     def test_plain_callable_is_unknown_everywhere(self):
         if not fs.HAVE_NUMPY:
             pytest.skip("per-shape matching needs numpy")
-        stream = fs.decode_stream(CORPORA["real-text"], BASE,
-                                  min_vector_bytes=0)
+        stream = fs.decode_stream(CORPORA["real-text"], BASE)
         picked = stream.select(lambda i: i.mnemonic == "nop")
         assert picked == [i for i in stream if i.mnemonic == "nop"]
 
@@ -213,7 +211,7 @@ def _leaves(insn) -> tuple:
 @requires_numpy
 @pytest.mark.parametrize("name", sorted(SHAPE_CORPORA))
 def test_leaves_are_shape_invariant(name):
-    stream = fs.decode_stream(SHAPE_CORPORA[name], BASE, min_vector_bytes=0)
+    stream = fs.decode_stream(SHAPE_CORPORA[name], BASE)
     if not len(stream):
         return
     seen: dict[int, tuple] = {}
@@ -232,7 +230,7 @@ def test_decided_shapes_are_not_materialized():
     """``jcc`` decides every non-VEX shape: only one representative per
     shape and the kept sites are materialized (the brute-force filter
     materialized all of them)."""
-    stream = fs.decode_stream(CORPORA["real-text"], BASE, min_vector_bytes=0)
+    stream = fs.decode_stream(CORPORA["real-text"], BASE)
     sites = stream.select(compile_matcher("jcc"))
     assert sites
     assert len(stream._cache) <= len(stream) // 5

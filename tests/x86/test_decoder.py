@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.facts import facts_for
 from repro.errors import DecodeError
-from repro.x86.decoder import decode, decode_all, decode_buffer
+from repro.x86.decoder import decode, decode_buffer
 from repro.x86.flow import is_heap_write, is_memory_write
 from repro.x86.insn import OperandKind
 from repro.x86.tables import Flow
@@ -339,13 +339,6 @@ class TestErrors:
 
 
 class TestBulk:
-    def test_decode_all_contiguous(self):
-        code = bytes.fromhex("4889d8 4883c020 c3 90".replace(" ", ""))
-        region = decode_all(code, address=0x100)
-        assert [i.length for i in region.instructions] == [3, 4, 1, 1]
-        assert region.at(0x103) is not None
-        assert region.at(0x104) is None
-
     def test_decode_buffer_skips_bad_bytes(self):
         code = b"\x90" + b"\x06" + b"\xc3"  # nop, invalid, ret
         insns = decode_buffer(code)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DecodeError
-from repro.x86.decoder import decode, decode_all
+from repro.x86.decoder import decode, decode_buffer
 from repro.x86.insn import _FIELDS
 from tests.conftest import requires_gcc, requires_objdump
 from tests.x86.reference_decoder import decode_reference
@@ -62,7 +62,7 @@ class TestCompiledCorpus:
         assert total > 500
 
     def test_bulk_decode_matches_singles(self, compiled_corpus):
-        """decode_all over a contiguous run equals one-at-a-time decode."""
+        """decode_buffer over a contiguous run equals one-at-a-time decode."""
         path = next(iter(compiled_corpus.values()))
         listing = [
             (addr, raw) for addr, raw, text in objdump_instructions(str(path))
@@ -79,9 +79,9 @@ class TestCompiledCorpus:
         assert len(run) >= 50
         base = run[0][0]
         blob = b"".join(raw for _, raw in run)
-        region = decode_all(blob, address=base)
-        assert len(region.instructions) == len(run)
-        for insn, (addr, raw) in zip(region.instructions, run):
+        insns = decode_buffer(blob, address=base)
+        assert len(insns) == len(run)
+        for insn, (addr, raw) in zip(insns, run):
             assert insn.address == addr
             assert insn.raw == raw
 

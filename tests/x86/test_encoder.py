@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import EncodeError
 from repro.x86 import encoder as enc
-from repro.x86.decoder import decode, decode_all
+from repro.x86.decoder import decode, decode_buffer
 from repro.x86.tables import Flow
 
 
@@ -58,8 +58,8 @@ class TestNops:
     def test_nop_exact_length_and_decodable(self, n):
         raw = enc.encode_nop(n)
         assert len(raw) == n
-        region = decode_all(raw)
-        assert all(i.mnemonic == "nop" for i in region.instructions)
+        insns = decode_buffer(raw)
+        assert all(i.mnemonic == "nop" for i in insns)
 
     def test_zero_rejected(self):
         with pytest.raises(EncodeError):
@@ -72,7 +72,7 @@ class TestAssembler:
         for reg in range(16):
             a.push(reg)
             a.pop(reg)
-        insns = decode_all(a.bytes()).instructions
+        insns = decode_buffer(a.bytes())
         assert len(insns) == 32
         assert {i.mnemonic for i in insns} == {"push", "pop"}
 
@@ -92,7 +92,7 @@ class TestAssembler:
         a.label("end")
         a.jmp("top")
         code = a.bytes()
-        insns = decode_all(code, address=0x1000).instructions
+        insns = decode_buffer(code, address=0x1000)
         jmps = [i for i in insns if i.flow == Flow.JMP]
         assert jmps[0].target == 0x1000 + len(code) - 5  # "end"
         assert jmps[1].target == 0x1000  # "top"
@@ -115,7 +115,7 @@ class TestAssembler:
         a.mov_store(enc.RSP, enc.RCX, 0x100)
         a.inc_mem64(enc.RBP)
         a.mov_load(enc.RDX, enc.RSP)  # SIB path
-        insns = decode_all(a.bytes()).instructions
+        insns = decode_buffer(a.bytes())
         assert [i.mnemonic for i in insns] == ["mov", "mov", "inc", "mov"]
         assert insns[1].writes_rm
         assert insns[2].writes_rm
@@ -160,7 +160,7 @@ class TestAssembler:
         a.sub_imm(enc.R9, -3)
         a.cmp_imm(enc.RDI, 127)
         a.cmp_imm(enc.RDI, 128)
-        insns = decode_all(a.bytes()).instructions
+        insns = decode_buffer(a.bytes())
         assert [i.mnemonic for i in insns] == ["add", "add", "sub", "cmp", "cmp"]
         assert insns[0].length < insns[1].length
 
@@ -173,6 +173,6 @@ class TestAssembler:
         a.ret()
         a.pushfq()
         a.popfq()
-        insns = decode_all(a.bytes()).instructions
+        insns = decode_buffer(a.bytes())
         names = [i.mnemonic for i in insns]
         assert names == ["call", "jmp", "syscall", "int3", "ret", "pushf", "popf"]

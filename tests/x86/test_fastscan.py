@@ -176,23 +176,33 @@ class TestStreamIdentity:
     @pytest.mark.parametrize("name", sorted(CORPORA))
     def test_matches_decode_buffer(self, name):
         data = CORPORA[name]
-        stream = decode_stream(data, address=0x400000, min_vector_bytes=0)
+        stream = decode_stream(data, address=0x400000)
         insns = decode_buffer(data, address=0x400000)
         assert_stream_equals_list(stream, insns, name)
 
     @pytest.mark.parametrize("name", sorted(CORPORA))
-    def test_scalar_fallback_matches(self, name):
-        """Forcing the scalar route (min_vector_bytes above the buffer
-        size) must give the same stream — this is the numpy-less path."""
+    def test_scalar_fallback_matches(self, name, monkeypatch):
+        """The stdlib route (numpy hidden) must give the same stream."""
+        monkeypatch.setattr(fs, "HAVE_NUMPY", False)
         data = CORPORA[name]
-        stream = decode_stream(data, address=0x1000,
-                               min_vector_bytes=len(data) + 1)
+        stream = decode_stream(data, address=0x1000)
         insns = decode_buffer(data, address=0x1000)
         assert_stream_equals_list(stream, insns, name)
 
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_every_short_prefix_matches(self, name):
+        """Buffers of every size take the production route (with numpy,
+        the vector walk): each prefix of up to 64 bytes decodes as
+        ``decode_buffer`` does."""
+        data = CORPORA[name]
+        for n in range(min(len(data), 64) + 1):
+            assert_stream_equals_list(
+                decode_stream(data[:n], address=0x1000),
+                decode_buffer(data[:n], address=0x1000), f"{name}[:{n}]")
+
     def test_addresses_and_total_bytes(self):
         data = CORPORA["real-text"]
-        stream = decode_stream(data, address=0x4000, min_vector_bytes=0)
+        stream = decode_stream(data, address=0x4000)
         insns = decode_buffer(data, address=0x4000)
         addresses = [i.address for i in insns]
         assert [stream.address + o for o in stream.start_offsets()] == addresses
@@ -204,14 +214,14 @@ class TestStreamIdentity:
 
     def test_negative_index_and_slice(self):
         data = CORPORA["real-text"]
-        stream = decode_stream(data, min_vector_bytes=0)
+        stream = decode_stream(data)
         insns = decode_buffer(data)
         assert stream[-1] == insns[-1]
         assert list(stream[3:7]) == insns[3:7]
 
     def test_memoryview_input(self):
         data = CORPORA["random"]
-        stream = decode_stream(memoryview(data), min_vector_bytes=0)
+        stream = decode_stream(memoryview(data))
         assert_stream_equals_list(stream, decode_buffer(data))
 
 
@@ -226,25 +236,23 @@ class TestSelect:
                                       "group-stores"])
     def test_select_equals_brute_force(self, name, matcher):
         data = CORPORA[name]
-        stream = decode_stream(data, address=0x400000, min_vector_bytes=0)
+        stream = decode_stream(data, address=0x400000)
         assert stream.select(matcher) == [
             i for i in stream if matcher(i)]
 
     def test_unknown_matcher_falls_back(self):
-        stream = decode_stream(CORPORA["real-text"], min_vector_bytes=0)
+        stream = decode_stream(CORPORA["real-text"])
         picked = stream.select(lambda i: i.mnemonic == "nop")
         assert picked == [i for i in stream if i.mnemonic == "nop"]
 
     def test_site_indices_roundtrip(self):
-        stream = decode_stream(CORPORA["real-text"], address=0x400000,
-                               min_vector_bytes=0)
+        stream = decode_stream(CORPORA["real-text"], address=0x400000)
         sites = stream.select(match_jumps)
         indices = stream.site_indices(sites)
         assert [stream[i] for i in indices] == sites
 
     def test_site_indices_rejects_foreign_address(self):
-        stream = decode_stream(CORPORA["real-text"], address=0x400000,
-                               min_vector_bytes=0)
+        stream = decode_stream(CORPORA["real-text"], address=0x400000)
         foreign = decode_buffer(b"\x90", address=0x123)
         with pytest.raises(ValueError):
             stream.site_indices(foreign)
@@ -256,8 +264,7 @@ class TestSelect:
 class TestPickle:
     def test_roundtrip_preserves_stream(self):
         data = CORPORA["real-text"]
-        stream = decode_stream(memoryview(data), address=0x400000,
-                               min_vector_bytes=0)
+        stream = decode_stream(memoryview(data), address=0x400000)
         clone = pickle.loads(pickle.dumps(stream))
         assert isinstance(clone, InstructionStream)
         assert clone.start_offsets() == stream.start_offsets()
@@ -443,7 +450,7 @@ class TestWindowSeams:
         data = self.long_insns(window, 8 * window)
         for name in ("data", "vex-heavy", "prefix-heavy"):
             buf = data if name == "data" else CORPORA[name][: 16 * window]
-            stream = decode_stream(buf, address=0x1000, min_vector_bytes=0)
+            stream = decode_stream(buf, address=0x1000)
             assert_stream_equals_list(
                 stream, decode_buffer(buf, address=0x1000), name)
 
@@ -451,5 +458,5 @@ class TestWindowSeams:
     def test_buffer_ends_inside_instruction(self, insn):
         for cut in range(1, len(insn)):
             buf = b"\x90" * 40 + insn[:cut]
-            stream = decode_stream(buf, min_vector_bytes=0)
+            stream = decode_stream(buf)
             assert_stream_equals_list(stream, decode_buffer(buf), f"cut {cut}")

@@ -1,7 +1,7 @@
 """Instruction-model helpers (insn.py) exercised directly."""
 
-from repro.x86.decoder import decode, decode_all
-from repro.x86.insn import DecodedRegion, OperandKind
+from repro.x86.decoder import decode
+from repro.x86.insn import OperandKind
 
 
 def d(hexstr: str, address: int = 0x1000):
@@ -55,18 +55,3 @@ class TestFields:
         assert "48 89 d8" in text
         assert "mov" in text
 
-
-class TestDecodedRegion:
-    def test_at_binary_search(self):
-        region = decode_all(bytes.fromhex("90 90 4889d8 c3".replace(" ", "")),
-                            address=0x100)
-        assert region.at(0x100).mnemonic == "nop"
-        assert region.at(0x102).mnemonic == "mov"
-        assert region.at(0x105).mnemonic == "ret"
-        assert region.at(0x103) is None  # mid-instruction
-        assert region.at(0x106) is None  # past the end
-        assert region.at(0xFF) is None
-
-    def test_empty_region(self):
-        region = DecodedRegion(address=0, data=b"")
-        assert region.at(0) is None
