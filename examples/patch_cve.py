@@ -26,22 +26,25 @@ from repro.x86.decoder import decode_buffer
 
 class DeveloperFix(Instrumentation):
     """The source-level patch, compiled into a trampoline body:
-    ``rar->start_new_table = 1``."""
+    ``rar->start_new_table = 1``.  The body is the same at every site,
+    so it is assembled once and :meth:`body` returns its bytes."""
 
     name = "cve-fix"
 
     def __init__(self, flag_vaddr: int) -> None:
-        self.flag_vaddr = flag_vaddr
-
-    def emit(self, asm: enc.Assembler, insn) -> None:
+        asm = enc.Assembler()
         asm.raw(b"\x48\x8d\x64\x24\x80")  # lea -0x80(%rsp), %rsp (red zone)
         asm.pushfq()
         asm.push(enc.RAX)
-        asm.mov_imm64(enc.RAX, self.flag_vaddr)
+        asm.mov_imm64(enc.RAX, flag_vaddr)
         asm.raw(b"\xc6\x00\x01")  # mov byte [rax], 1
         asm.pop(enc.RAX)
         asm.popfq()
         asm.raw(b"\x48\x8d\xa4\x24\x80\x00\x00\x00")  # restore %rsp
+        self.code = asm.bytes()
+
+    def body(self, insn, at: int) -> bytes:
+        return self.code
 
 
 def build_vulnerable_program() -> tuple[bytes, int]:

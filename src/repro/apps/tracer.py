@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.core.observe import Observer
 from repro.core.pipeline import MatchPass, RewriteContext, RewriteOptions, RewriteResult
 from repro.core.strategy import PatchRequest
-from repro.core.trampoline import Instrumentation
+from repro.core.trampoline import RED_ZONE_DOWN, RED_ZONE_UP, Instrumentation
 from repro.frontend.matchers import Matcher, resolve_matcher
 from repro.frontend.tool import prepare_binary
 from repro.vm.machine import Machine
@@ -29,7 +29,8 @@ HEADER_SIZE = 16
 
 
 class TraceRecord(Instrumentation):
-    """Append the site address to the ring buffer."""
+    """Append the site address to the ring buffer.  The body is
+    assembled once, around the 8-byte record each trampoline fills in."""
 
     name = "trace"
 
@@ -38,9 +39,14 @@ class TraceRecord(Instrumentation):
             raise ValueError("capacity must be a power of two")
         self.buffer_vaddr = buffer_vaddr
         self.capacity = capacity
+        self._head, self._tail = self._template()
 
-    def emit(self, asm: enc.Assembler, insn) -> None:
-        asm.raw(b"\x48\x8d\x64\x24\x80")  # lea -0x80(%rsp), %rsp
+    def body(self, insn, at: int) -> bytes:
+        return self._head + insn.address.to_bytes(8, "little") + self._tail
+
+    def _template(self) -> tuple[bytes, bytes]:
+        asm = enc.Assembler()
+        asm.raw(RED_ZONE_DOWN)
         asm.pushfq()
         asm.push(enc.RAX)
         asm.push(enc.RCX)
@@ -51,7 +57,8 @@ class TraceRecord(Instrumentation):
         asm.mov_reg(enc.RDX, enc.RCX)
         # rdx = head & (capacity - 1)
         asm.raw(b"\x48\x81\xe2" + (self.capacity - 1).to_bytes(4, "little"))
-        asm.mov_imm64(enc.R11, insn.address)  # the record
+        asm.mov_imm64(enc.R11, 0)  # the record: the site address
+        record = len(asm.buf) - 8
         # entries[rdx] = r11:  mov [rax + rdx*8 + 16], r11
         asm.raw(b"\x4c\x89\x5c\xd0\x10")
         asm.add_imm(enc.RCX, 1)
@@ -61,7 +68,9 @@ class TraceRecord(Instrumentation):
         asm.pop(enc.RCX)
         asm.pop(enc.RAX)
         asm.popfq()
-        asm.raw(b"\x48\x8d\xa4\x24\x80\x00\x00\x00")  # lea 0x80(%rsp), %rsp
+        asm.raw(RED_ZONE_UP)
+        code = asm.bytes()
+        return code[:record], code[record + 8:]
 
 
 @dataclass

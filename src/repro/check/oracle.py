@@ -27,6 +27,7 @@ displacement bug without re-running anything.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.errors import VmError
@@ -435,20 +436,27 @@ def sites_and_traps(
     """
     # Local imports: repro.frontend pulls in the CLI, which imports the
     # pipeline, which must stay importable without this module.
-    from repro.frontend.matchers import resolve_matcher
+    from repro.frontend.matchers import resolve_matcher, select_sites
     from repro.frontend.tool import prepare_binary
+    from repro.x86.fastscan import InstructionStream
 
     instructions = prepare_binary(data, frontend=frontend).instructions
     matcher = resolve_matcher(matcher)
-    sites = frozenset(
-        i.address for i in instructions if matcher is None or matcher(i)
-    )
-    by_addr = {i.address: i for i in instructions}
+    # Only the selected sites and the traps are materialized: addresses
+    # come from the stream's offsets, traps by bisecting them.
+    if isinstance(instructions, InstructionStream):
+        base, offsets = instructions.address, instructions.offsets_view()
+        everything = (base + off for off in instructions.start_offsets())
+    else:  # an eager list (the symbols frontend), sorted and disjoint
+        base, offsets = 0, [i.address for i in instructions]
+        everything = offsets
+    sites = frozenset(everything if matcher is None else
+                      (i.address for i in select_sites(instructions, matcher)))
     traps = {}
     for site in b0_sites:
-        insn = by_addr.get(site)
-        if insn is not None:
-            traps[site] = bytes(insn.raw)
+        i = bisect_left(offsets, site - base)
+        if i < len(offsets) and offsets[i] == site - base:
+            traps[site] = bytes(instructions[i].raw)
     return sites, traps
 
 

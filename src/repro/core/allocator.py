@@ -170,7 +170,7 @@ class AddressSpace:
                 t = self.free.find_gap(lo, hi, size, align=align)
         if t is None:
             return None
-        self.free.remove(t, t + size)
+        self.free.take(t, t + size)
         self.allocations[t] = Allocation(vaddr=t, size=size, tag=tag)
         if self.pack_pages:
             pages = self._pages(t, t + size)

@@ -1,8 +1,8 @@
 """The rewritable code image: current bytes + lock state per exec range.
 
 Tactics read *current* bytes (a T2 retry must see the successor's new
-jump bytes) and write through lock checks.  The image records which
-ranges were dirtied so the ELF writer can emit minimal in-place patches.
+jump bytes) and write through lock checks.  At emission the ELF writer
+takes each range whole, in place of the input's bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class CodeImage:
 
     def __init__(self) -> None:
         self.ranges: list[CodeRange] = []
-        self.dirty: list[tuple[int, int]] = []  # (vaddr, length)
         # Single-entry range cache: patch loops hammer the same range.
         self._last_range: CodeRange | None = None
 
@@ -78,7 +77,6 @@ class CodeImage:
         r.locks.lock_modified(vaddr, len(data))  # LockViolation if locked
         i = vaddr - r.base
         r.data[i : i + len(data)] = data
-        self.dirty.append((vaddr, len(data)))
 
     def write_unchecked(self, vaddr: int, data: bytes) -> None:
         """Overwrite bytes without lock bookkeeping (rollback support)."""
@@ -108,17 +106,3 @@ class CodeImage:
         if r is None:
             raise PatchError(f"address {vaddr:#x} outside code image")
         return r.locks
-
-    def dirty_patches(self) -> list[tuple[int, bytes]]:
-        """Coalesced (vaddr, bytes) list of all modified regions."""
-        if not self.dirty:
-            return []
-        spans = sorted(self.dirty)
-        merged: list[list[int]] = []
-        for lo, ln in spans:
-            hi = lo + ln
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return [(lo, self.read(lo, hi - lo)) for lo, hi in merged]

@@ -32,6 +32,10 @@ class BlockOccupancy:
     def occupied_bytes(self) -> int:
         return self.extents.total()
 
+    def mask(self) -> int:
+        """The occupied block-relative bytes as a bit mask."""
+        return sum(((1 << (hi - lo)) - 1) << lo for lo, hi in self.extents)
+
 
 @dataclass
 class Group:
@@ -39,17 +43,13 @@ class Group:
     physical block."""
 
     members: list[BlockOccupancy] = field(default_factory=list)
-    occupancy: IntervalSet = field(default_factory=IntervalSet)
+    #: The members' occupied bytes as one mask: a block fits exactly
+    #: when its mask shares no bit with it.
+    occupancy: int = 0
 
-    def can_admit(self, block: BlockOccupancy) -> bool:
-        return not any(
-            self.occupancy.overlaps(lo, hi) for lo, hi in block.extents
-        )
-
-    def admit(self, block: BlockOccupancy) -> None:
+    def admit(self, block: BlockOccupancy, mask: int) -> None:
         self.members.append(block)
-        for lo, hi in block.extents:
-            self.occupancy.add(lo, hi)
+        self.occupancy |= mask
 
     def merged_content(self, block_size: int) -> bytes:
         buf = bytearray(block_size)
@@ -119,7 +119,9 @@ def split_into_blocks(
             index = vaddr // block_size
             rel = vaddr - index * block_size
             take = min(len(data), block_size - rel)
-            block = blocks.setdefault(index, BlockOccupancy(index=index))
+            block = blocks.get(index)
+            if block is None:
+                block = blocks[index] = BlockOccupancy(index=index)
             block.extents.add(rel, rel + take)
             block.pieces.append((rel, data[:take]))
             vaddr += take
@@ -137,14 +139,14 @@ def group_blocks(
     """
     groups: list[Group] = []
     for block in sorted(blocks, key=lambda b: -b.occupied_bytes()):
+        mask = block.mask()
         for grp in groups:
-            if grp.can_admit(block):
-                grp.admit(block)
+            if not grp.occupancy & mask:
                 break
         else:
             grp = Group()
-            grp.admit(block)
             groups.append(grp)
+        grp.admit(block, mask)
     return GroupingResult(block_pages=block_pages, blocks=list(blocks), groups=groups)
 
 
@@ -162,6 +164,6 @@ def group_trampolines(
     groups = []
     for block in blocks:
         grp = Group()
-        grp.admit(block)
+        grp.admit(block, block.mask())
         groups.append(grp)
     return GroupingResult(block_pages=block_pages, blocks=blocks, groups=groups)

@@ -73,6 +73,23 @@ class IntervalSet:
         self._starts[i:j] = new_starts
         self._ends[i:j] = new_ends
 
+    def take(self, lo: int, hi: int) -> None:
+        """Delete ``[lo, hi)`` from the one span covering it, trimming or
+        splitting that span in place (an allocation's one edit)."""
+        starts, ends = self._starts, self._ends
+        i = bisect_right(starts, lo) - 1
+        end = ends[i]
+        assert i >= 0 and lo < hi <= end, "range not inside one span"
+        if starts[i] != lo:
+            ends[i] = lo
+            if end != hi:
+                starts.insert(i + 1, hi)
+                ends.insert(i + 1, end)
+        elif end != hi:
+            starts[i] = hi
+        else:
+            del starts[i], ends[i]
+
     def contains(self, lo: int, hi: int | None = None) -> bool:
         """True if ``[lo, hi)`` (or the single point *lo*) is fully covered."""
         if hi is None:

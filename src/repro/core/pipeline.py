@@ -493,8 +493,11 @@ class EmitPass(PipelinePass):
         probes_before = ctx.space.probes
         visits_before = ctx.space.span_visits
         rw = ElfRewriter(ctx.elf)
-        for vaddr, data in ctx.image.dirty_patches():
-            rw.patch_vaddr(vaddr, data)
+        # Each executable range whole: the writer joins it into the
+        # output in one copy, in place of the input's bytes.
+        for r in ctx.image.ranges:
+            if r.data:
+                rw.patch_vaddr(r.base, r.data)
 
         if ctx.grouping is not None:
             if ctx.mode == "phdr":

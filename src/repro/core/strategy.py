@@ -8,6 +8,7 @@ B1/B2 -> T1 -> T2 -> T3 (-> optional B0 fallback).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.stats import PatchStats
@@ -67,14 +68,19 @@ def patch_all(
 
     for req in sorted(requests, key=lambda r: r.insn.address, reverse=True):
         result = _patch_one(ctx, req, toggles)
-        plan.stats.record(result.tactic if result else None)
         if result is None:
             plan.failures.append(req.insn.address)
         else:
             plan.patches.append(result)
-            for tramp in result.trampolines:
-                plan.stats.trampoline_bytes += tramp.size
-                plan.stats.trampoline_count += 1
+    # Tallied once per plan; by_tactic keeps first-seen order.
+    trampolines = list(plan.trampolines)
+    plan.stats = PatchStats(
+        total=len(requests),
+        by_tactic=dict(Counter(p.tactic for p in plan.patches)),
+        failed=len(plan.failures),
+        trampoline_bytes=sum(len(t.code) for t in trampolines),
+        trampoline_count=len(trampolines),
+    )
     return plan
 
 

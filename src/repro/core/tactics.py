@@ -61,7 +61,6 @@ class Transaction:
         self.space = space
         self._writes: list[tuple[int, bytes, bytes]] = []  # vaddr, old, lockstates
         self._puns: list[tuple[int, bytes]] = []  # vaddr, lockstates
-        self._dirty_mark = len(image.dirty)
         self.trampolines: list[Trampoline] = []
 
     def write(self, vaddr: int, data: bytes) -> None:
@@ -89,7 +88,6 @@ class Transaction:
             self.image.restore_locks(vaddr, locks)
         for tramp in reversed(self.trampolines):
             self.space.release(tramp.vaddr, tramp.size)
-        del self.image.dirty[self._dirty_mark :]
         self._writes.clear()
         self._puns.clear()
         self.trampolines.clear()

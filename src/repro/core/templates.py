@@ -49,7 +49,12 @@ from typing import Any
 from repro.errors import ReproError
 from repro.x86 import encoder as enc
 from repro.x86.insn import Instruction
-from repro.core.trampoline import Instrumentation
+from repro.core.trampoline import (
+    RED_ZONE_DOWN,
+    RED_ZONE_UP,
+    Instrumentation,
+    operand_address,
+)
 
 REG_NAMES = {
     "rax": enc.RAX, "rcx": enc.RCX, "rdx": enc.RDX, "rbx": enc.RBX,
@@ -136,7 +141,13 @@ class TrampolineTemplate:
 
 
 class TemplateInstrumentation(Instrumentation):
-    """An instantiated template, usable anywhere an Instrumentation is."""
+    """An instantiated template, usable anywhere an Instrumentation is.
+
+    The body is assembled once, as byte chunks around one hole per
+    ``load_operand_addr``, which each trampoline fills with its site's
+    operand."""
+
+    _chunks: tuple | None = None
 
     def __init__(self, template: TrampolineTemplate,
                  arguments: dict[str, int]) -> None:
@@ -159,25 +170,32 @@ class TemplateInstrumentation(Instrumentation):
                 raise TemplateError(f"bad value {raw!r}") from exc
         raise TemplateError(f"bad value {raw!r}")
 
-    def emit(self, asm: enc.Assembler, insn: Instruction) -> None:
-        body = self.template.body
-        if not body:
-            return
-        # Skip the red zone while the body may touch the stack.
-        touches_stack = any(
-            op["op"] in ("save", "restore", "save_flags", "restore_flags",
-                         "call")
-            for op in body
-        )
-        if touches_stack:
-            asm.raw(b"\x48\x8d\x64\x24\x80")  # lea -0x80(%rsp), %rsp
-        for op in body:
-            self._emit_op(asm, insn, op)
-        if touches_stack:
-            asm.raw(b"\x48\x8d\xa4\x24\x80\x00\x00\x00")  # lea 0x80(%rsp),%rsp
+    def _template(self) -> tuple:
+        """Byte chunks, and between them the register each
+        ``load_operand_addr`` loads."""
+        if self._chunks is None:
+            body = self.template.body
+            # Skip the red zone while the body may touch the stack.
+            stack = any(op["op"] in ("save", "restore", "save_flags",
+                                     "restore_flags", "call") for op in body)
+            chunks, asm = [], enc.Assembler()
+            asm.raw(RED_ZONE_DOWN if stack else b"")
+            for op in body:
+                if op["op"] == "load_operand_addr":
+                    chunks += (asm.bytes(), REG_NAMES[op["reg"]])
+                    asm = enc.Assembler()
+                else:
+                    self._emit_op(asm, op)
+            asm.raw(RED_ZONE_UP if stack else b"")
+            self._chunks = (*chunks, asm.bytes())
+        return self._chunks
 
-    def _emit_op(self, asm: enc.Assembler, insn: Instruction,
-                 op: dict[str, Any]) -> None:
+    def body(self, insn: Instruction, at: int) -> bytes:
+        return b"".join(part if type(part) is bytes
+                        else operand_address(part, insn)
+                        for part in self._template())
+
+    def _emit_op(self, asm: enc.Assembler, op: dict[str, Any]) -> None:
         kind = op["op"]
         if kind == "save":
             asm.push(REG_NAMES[op["reg"]])
@@ -189,12 +207,6 @@ class TemplateInstrumentation(Instrumentation):
             asm.popfq()
         elif kind == "load_imm":
             asm.mov_imm64(REG_NAMES[op["reg"]], self._value(op["value"]))
-        elif kind == "load_operand_addr":
-            reg = REG_NAMES[op["reg"]]
-            if insn.has_mem_operand and not insn.rip_relative:
-                asm.lea_from_modrm(reg, insn)
-            else:
-                asm.mov_imm32(reg, 0)
         elif kind == "call":
             asm.mov_imm64(enc.R11, self._value(op["target"]))
             asm.call_reg(enc.R11)

@@ -41,10 +41,14 @@ def inject_bug_enabled() -> bool:
 # Caller-saved registers preserved around a call-style instrumentation.
 _SCRATCH_REGS = (enc.RAX, enc.RCX, enc.RDX, enc.RSI, enc.RDI,
                  enc.R8, enc.R9, enc.R10, enc.R11)
-RED_ZONE = 128
 
 #: Flags clobbered by the Counter body's ``incq`` (CF is untouched).
 _INC_FLAGS = PF | AF | ZF | SF | OF
+
+#: The skip over the 128-byte red zone around a body that touches the
+#: stack.
+RED_ZONE_DOWN = b"\x48\x8d\x64\x24\x80"  # lea -0x80(%rsp), %rsp
+RED_ZONE_UP = b"\x48\x8d\xa4\x24\x80\x00\x00\x00"  # lea 0x80(%rsp), %rsp
 
 
 def relocated_size(insn: Instruction) -> int:
@@ -62,50 +66,53 @@ def relocated_size(insn: Instruction) -> int:
 
 def relocate(insn: Instruction, at_addr: int) -> bytes:
     """Encode *insn* so it behaves identically when placed at *at_addr*."""
-    # insn.target is spelled out as address + length + imm here: the
-    # property chain (target -> rel -> is_direct_branch) is measurable at
-    # thousands of relocations per rewrite.
+    # insn.target and insn.rip_relative are spelled out here: their
+    # property chains are measurable at thousands of relocations per
+    # rewrite.
     flow = insn.flow
     if flow is Flow.JMP and insn.imm is not None:
-        target = insn.address + insn.length + insn.imm
-        return enc.encode_jmp_rel32(target - (at_addr + 5))
+        return enc.encode_jmp_rel32(insn.end + insn.imm - (at_addr + 5))
     if flow is Flow.JCC:
-        target = insn.address + insn.length + insn.imm
-        cc = insn.opcode & 0x0F
-        return enc.encode_jcc_rel32(cc, target - (at_addr + 6))
+        return enc.encode_jcc_rel32(insn.opcode & 0x0F,
+                                    insn.end + insn.imm - (at_addr + 6))
     if flow is Flow.CALL and insn.imm is not None:
-        target = insn.address + insn.length + insn.imm
-        return enc.encode_call_rel32(target - (at_addr + 5))
+        return enc.encode_call_rel32(insn.end + insn.imm - (at_addr + 5))
     if flow is Flow.LOOP:
         # loopcc/jrcxz only exist with rel8; expand to the standard
         # branch-out pattern:  loopcc +2; jmp +5; jmp target
-        target = insn.address + insn.length + insn.imm
-        out = bytearray()
-        out += bytes((insn.opcode, 0x02))  # taken -> out[4]
-        out += enc.encode_jmp_rel8(5)  # not taken -> fall through at out[9]
-        out += enc.encode_jmp_rel32(target - (at_addr + 9))
-        return bytes(out)
-    if insn.rip_relative:
-        orig_target = insn.end + (insn.disp or 0)
-        new_disp = orig_target - (at_addr + insn.length)
-        if not -(1 << 31) <= new_disp < (1 << 31):
+        return (bytes((insn.opcode, 0x02, enc.JMP_REL8_OPCODE, 0x05,
+                       enc.JMP_REL32_OPCODE))
+                + enc.encode_rel32(insn.end + insn.imm - (at_addr + 9)))
+    modrm = insn.modrm
+    if modrm is not None and modrm & 0xC7 == 0x05:  # mod 0, rm 5: rip-relative
+        new_disp = insn.end + (insn.disp or 0) - (at_addr + insn.length)
+        if not enc.REL32_MIN <= new_disp <= enc.REL32_MAX:
             raise PatchError(
                 f"rip-relative operand of {insn.mnemonic} at {insn.address:#x} "
                 f"unreachable from trampoline at {at_addr:#x}"
             )
-        raw = bytearray(insn.raw)
-        raw[insn.disp_offset : insn.disp_offset + 4] = (
-            new_disp & 0xFFFFFFFF
-        ).to_bytes(4, "little")
-        return bytes(raw)
+        raw, i = insn.raw, insn.disp_offset
+        return raw[:i] + enc.encode_rel32(new_disp) + raw[i + 4:]
     return insn.raw
+
+
+def operand_address(reg: int, insn: Instruction) -> bytes:
+    """``lea`` of *insn*'s memory operand into *reg*; ``mov $0`` into
+    *reg* when it has none, or only a rip-relative one."""
+    if insn.has_mem_operand and not insn.rip_relative:
+        return enc.encode_lea_from_modrm(reg, insn)
+    mov = bytes((0xB8 | (reg & 7),)) + bytes(4)
+    return b"\x41" + mov if reg >= 8 else mov
 
 
 class Instrumentation:
     """Base class for trampoline instrumentation bodies.
 
-    Bodies must be position-independent (or use ``movabs``) so that their
-    size is known before the trampoline address is chosen.
+    :meth:`body` gives a body's bytes at the head of one trampoline:
+    the built-in bodies fill byte templates assembled once per distinct
+    encoding (a constant body just returns its bytes).  The *size* must
+    not depend on the trampoline address (position-independent code, or
+    ``movabs``), so that it is known before the address is chosen.
 
     A body may additionally be *liveness-bound*
     (:meth:`bind_liveness`): per-site dead-register/dead-flag facts then
@@ -125,9 +132,11 @@ class Instrumentation:
         self.liveness = liveness
 
     def size(self, insn: Instruction) -> int:
-        probe = enc.Assembler(base=0)
-        self.emit(probe, insn)
-        return len(probe.bytes())
+        return len(self.body(insn, 0))
+
+    def body(self, insn: Instruction, at: int) -> bytes:
+        """The body's bytes for *insn* in a trampoline starting at *at*."""
+        raise NotImplementedError
 
     def reach(self, insn: Instruction) -> tuple[int, int] | None:
         """Half-open range of trampoline starts from which the body's
@@ -140,30 +149,24 @@ class Instrumentation:
         none, unless the body slims (:class:`_PlannedBody`)."""
         return (0, 0)
 
-    def emit(self, asm: enc.Assembler, insn: Instruction) -> None:
-        raise NotImplementedError
-
 
 class _PlannedBody(Instrumentation):
     """A body that liveness slims through a per-site *plan*: which
     registers and flags it saves.  Subclasses give ``_plan(live)`` (the
     plan under a :class:`SiteLiveness`, or liveness-blind under None),
-    ``_plan_regs(plan)`` (its register save/restore pairs) and
-    ``_emit_plan(asm, insn, plan)``.  The encoding depends only on the
-    plan and on :meth:`_layout` of the site, so each site's plan is
-    computed once per :meth:`bind_liveness` and each distinct (plan,
-    layout) is sized once: a handful of sizes per body."""
+    ``_plan_regs(plan)`` (its register save/restore pairs),
+    ``_template(plan)`` (the plan's bytes as a ``(head, tail)`` pair)
+    and ``_fill(insn, at)``, the per-site bytes between the two, placed
+    at *at*.  Each site's plan is computed once per
+    :meth:`bind_liveness` and each plan's template is assembled once: a
+    handful of templates per body."""
 
     _plans: dict | None = None
-    _sizes: dict | None = None
+    _templates: dict | None = None
 
     def bind_liveness(self, liveness: LivenessAnalysis | None) -> None:
         self.liveness = liveness
         self._plans = None
-
-    def _layout(self, insn: Instruction):
-        """What of *insn* the encoding reads besides the plan."""
-        return None
 
     def _site_plan(self, insn: Instruction):
         if self.liveness is None:
@@ -176,29 +179,33 @@ class _PlannedBody(Instrumentation):
                 self.liveness.at(insn.address))
         return plan
 
-    def _plan_size(self, plan, insn: Instruction) -> int:
-        if self._sizes is None:
-            self._sizes = {}
-        key = (plan, self._layout(insn))
-        size = self._sizes.get(key)
-        if size is None:
-            probe = enc.Assembler(base=0)
-            self._emit_plan(probe, insn, plan)
-            size = self._sizes[key] = len(probe.bytes())
-        return size
+    def _parts(self, plan) -> tuple[bytes, bytes]:
+        if self._templates is None:
+            self._templates = {}
+        parts = self._templates.get(plan)
+        if parts is None:
+            parts = self._templates[plan] = self._template(plan)
+        return parts
+
+    def _fill_size(self, insn: Instruction) -> int:
+        return len(self._fill(insn, 0))
 
     def size(self, insn: Instruction) -> int:
-        return self._plan_size(self._site_plan(insn), insn)
+        head, tail = self._parts(self._site_plan(insn))
+        return len(head) + self._fill_size(insn) + len(tail)
+
+    def body(self, insn: Instruction, at: int) -> bytes:
+        head, tail = self._parts(self._site_plan(insn))
+        return head + self._fill(insn, at + len(head)) + tail
 
     def saved_cost(self, insn: Instruction) -> tuple[int, int]:
         if self.liveness is None:
             return (0, 0)
         blind, plan = self._plan(None), self._site_plan(insn)
-        return (self._plan_size(blind, insn) - self._plan_size(plan, insn),
+        # The per-site fill does not depend on the plan.
+        return (sum(map(len, self._parts(blind)))
+                - sum(map(len, self._parts(plan))),
                 self._plan_regs(blind) - self._plan_regs(plan))
-
-    def emit(self, asm: enc.Assembler, insn: Instruction) -> None:
-        self._emit_plan(asm, insn, self._site_plan(insn))
 
 
 class Empty(Instrumentation):
@@ -209,8 +216,8 @@ class Empty(Instrumentation):
     def size(self, insn: Instruction) -> int:
         return 0
 
-    def emit(self, asm: enc.Assembler, insn: Instruction) -> None:
-        return
+    def body(self, insn: Instruction, at: int) -> bytes:
+        return b""
 
 
 class Counter(_PlannedBody):
@@ -230,7 +237,8 @@ class Counter(_PlannedBody):
     trampoline-to-counter displacement is load-base-invariant — required
     for ET_DYN images (shared objects, PIE), whose ``movabs`` link-time
     address would be wrong at any nonzero base.  No scratch register is
-    needed, so only the flags save remains to slim away.
+    needed, so only the flags save remains to slim away.  Its template
+    leaves the disp32 to be filled in per trampoline.
     """
 
     name = "counter"
@@ -258,46 +266,46 @@ class Counter(_PlannedBody):
     def reach(self, insn: Instruction) -> tuple[int, int] | None:
         if not self.pic:
             return None
-        # The incq's rel32 counts from its end: 13 bytes into the body
-        # behind the red-zone lea and pushfq, 7 bytes in without them.
-        at = self.counter_vaddr - (13 if self._site_plan(insn)[2] else 7)
+        # The incq's rel32 counts from its end, 4 bytes past the head.
+        at = self.counter_vaddr - len(self._parts(self._site_plan(insn))[0]) - 4
         return (at - (1 << 31) + 1, at + (1 << 31) + 1)
 
-    def _emit_plan(self, asm: enc.Assembler, insn: Instruction,
-                   plan: tuple[int, bool, bool]) -> None:
+    def _template(self, plan: tuple[int, bool, bool]) -> tuple[bytes, bytes]:
         scratch, save_reg, save_flags = plan
-        if self.pic:
-            if save_flags:
-                asm.raw(b"\x48\x8d\x64\x24\x80")  # lea -0x80(%rsp), %rsp
-                asm.pushfq()
-            asm.inc_mem64_rip(self.counter_vaddr)
-            if save_flags:
-                asm.popfq()
-                asm.raw(b"\x48\x8d\xa4\x24\x80\x00\x00\x00")
-            return
+        pre, post = enc.Assembler(), enc.Assembler()
         # Any push dips below %rsp, so the red-zone adjustment is needed
         # exactly when something is saved.
         red_zone = save_reg or save_flags
         if red_zone:
-            asm.raw(b"\x48\x8d\x64\x24\x80")  # lea -0x80(%rsp), %rsp
+            pre.raw(RED_ZONE_DOWN)
         if save_flags:
-            asm.pushfq()
+            pre.pushfq()
         if save_reg:
-            asm.push(scratch)
-        asm.mov_imm64(scratch, self.counter_vaddr)
-        asm.inc_mem64(scratch)
-        if save_reg:
-            asm.pop(scratch)
+            pre.push(scratch)
+            post.pop(scratch)
         if save_flags:
-            asm.popfq()
+            post.popfq()
         if red_zone:
-            asm.raw(b"\x48\x8d\xa4\x24\x80\x00\x00\x00")  # lea 0x80(%rsp), %rsp
+            post.raw(RED_ZONE_UP)
+        if self.pic:  # incq disp32(%rip), the disp32 filled per trampoline
+            return pre.bytes() + b"\x48\xff\x05", post.bytes()
+        pre.mov_imm64(scratch, self.counter_vaddr)
+        pre.inc_mem64(scratch)
+        return pre.bytes() + post.bytes(), b""
+
+    def _fill(self, insn: Instruction, at: int) -> bytes:
+        if not self.pic:
+            return b""
+        return enc.encode_rel32(self.counter_vaddr - (at + 4))
+
+    def _fill_size(self, insn: Instruction) -> int:
+        return 4 if self.pic else 0
 
 
 class CallFunction(_PlannedBody):
     """Call an absolute function, optionally passing the effective address
     of the displaced instruction's memory operand in ``%rdi`` (the shape
-    used by the LowFat heap-write hardening of Section 6.3).
+    used by the LowFat hardening of Section 6.3).
 
     *clobbers* narrows the saved register set when the callee's clobbers
     are known (E9Patch hand-optimizes its trampolines the same way); the
@@ -307,7 +315,9 @@ class CallFunction(_PlannedBody):
     bound, registers and status flags that are dead at the patch site
     are additionally dropped from the saved set; the red-zone ``lea``
     pair is *always* kept, because ``call`` pushes a return address
-    below ``%rsp`` regardless of what is live.
+    below ``%rsp`` regardless of what is live.  The template leaves the
+    operand's ``lea`` (or ``mov $0``) into ``%rdi`` to be filled in per
+    site.
     """
 
     name = "call"
@@ -351,34 +361,28 @@ class CallFunction(_PlannedBody):
     def _plan_regs(self, plan: tuple[tuple[int, ...], bool]) -> int:
         return len(plan[0])
 
-    def _layout(self, insn: Instruction):
-        """The rebuilt operand's SIB and displacement size, or None
-        when the body moves 0 into ``%rdi`` instead."""
-        if self.pass_mem_operand and insn.has_mem_operand \
-                and not insn.rip_relative:
-            return (insn.sib is not None, insn.disp_size)
-        return None
-
-    def _emit_plan(self, asm: enc.Assembler, insn: Instruction,
-                   plan: tuple[tuple[int, ...], bool]) -> None:
+    def _template(self, plan: tuple[tuple[int, ...], bool]
+                  ) -> tuple[bytes, bytes]:
         saved, save_flags = plan
-        asm.raw(b"\x48\x8d\x64\x24\x80")  # lea -0x80(%rsp), %rsp
+        head, tail = enc.Assembler(), enc.Assembler()
+        head.raw(RED_ZONE_DOWN)
         if save_flags:
-            asm.pushfq()
+            head.pushfq()
         for reg in saved:
-            asm.push(reg)
-        if self.pass_mem_operand:
-            if insn.has_mem_operand and not insn.rip_relative:
-                asm.lea_from_modrm(enc.RDI, insn)
-            else:
-                asm.mov_imm32(enc.RDI, 0)
-        asm.mov_imm64(enc.R11, self.func_vaddr)
-        asm.call_reg(enc.R11)
+            head.push(reg)
+        tail.mov_imm64(enc.R11, self.func_vaddr)
+        tail.call_reg(enc.R11)
         for reg in reversed(saved):
-            asm.pop(reg)
+            tail.pop(reg)
         if save_flags:
-            asm.popfq()
-        asm.raw(b"\x48\x8d\xa4\x24\x80\x00\x00\x00")  # lea 0x80(%rsp), %rsp
+            tail.popfq()
+        tail.raw(RED_ZONE_UP)
+        return head.bytes(), tail.bytes()
+
+    def _fill(self, insn: Instruction, at: int) -> bytes:
+        if self.pass_mem_operand:
+            return operand_address(enc.RDI, insn)
+        return b""
 
 
 def trampoline_size(insn: Instruction, instr: Instrumentation) -> int:
@@ -397,7 +401,9 @@ def _no_return(insn: Instruction) -> bool:
 def build_trampoline(insn: Instruction, instr: Instrumentation,
                      tramp_addr: int, expected: int | None = None,
                      inject_bug: bool = False) -> bytes:
-    """Emit the trampoline body for *insn* at *tramp_addr*.
+    """Emit the trampoline for *insn* at *tramp_addr*: the body, the
+    relocated instruction and the jump back, each a byte template with
+    its displacements filled in.
 
     *expected* is the size the caller allocated (normally the memoized
     :func:`trampoline_size`); passing it skips re-probing the
@@ -405,25 +411,23 @@ def build_trampoline(insn: Instruction, instr: Instrumentation,
     not fit the allocation.  *inject_bug* applies the test-only
     miscompile of :func:`inject_bug_enabled`.
     """
-    asm = enc.Assembler(base=tramp_addr)
-    instr.emit(asm, insn)
-    asm.raw(relocate(insn, asm.here))
+    code = instr.body(insn, tramp_addr)
+    code += relocate(insn, tramp_addr + len(code))
     if not _no_return(insn):
-        back = insn.end - (asm.here + JMP_BACK_SIZE)
+        back = insn.end - (tramp_addr + len(code) + JMP_BACK_SIZE)
         if inject_bug:
             # Test-only miscompile: land the jump-back 2 bytes past the
             # displaced instruction's end (mid-instruction), the classic
             # displacement-math bug the equivalence oracle must catch.
             back += 2
-        asm.raw(enc.encode_jmp_rel32(back))
-    out = asm.bytes()
+        code += enc.encode_jmp_rel32(back)
     if expected is None:
         expected = trampoline_size(insn, instr)
-    if len(out) != expected:
+    if len(code) != expected:
         raise PatchError(
-            f"trampoline size mismatch: {len(out)} != predicted {expected}"
+            f"trampoline size mismatch: {len(code)} != predicted {expected}"
         )
-    return out
+    return code
 
 
 @dataclass

@@ -12,6 +12,7 @@ linker.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.errors import ElfError
@@ -97,21 +98,30 @@ class ElfRewriter:
         *phdr_vaddr* is the virtual address at which the relocated program
         header table will be mapped; the caller must pick an address that
         does not collide with any existing or appended segment.
-        """
-        out = bytearray(self.elf.data)
 
+        The output is joined once from the input's untouched spans, the
+        patches (read now; a later one wins where two overlap) and the
+        appended data, so each output byte is copied once.
+        """
+        starts, pieces = [0], [memoryview(self.elf.data)]
         for off, data in self.patches:
-            out[off : off + len(data)] = data
+            _overlay(starts, pieces, off, memoryview(data))
+        size = len(self.elf.data)
+
+        def put(data: bytes) -> int:  # append; returns the file offset
+            nonlocal size
+            pieces.append(data)
+            size += len(data)
+            return size - len(data)
 
         if self.blobs:
-            pad = (-len(out)) % c.PAGE_SIZE
-            out.extend(b"\x00" * pad)
+            put(bytes((-size) % c.PAGE_SIZE))
             for blob in self.blobs:
-                out.extend(blob)
-                out.extend(b"\x00" * ((-len(blob)) % c.PAGE_SIZE))
+                put(blob)
+                put(bytes((-len(blob)) % c.PAGE_SIZE))
 
         if not self.segments and self.new_entry is None and not self.blobs:
-            return bytes(out)
+            return b"".join(pieces)
 
         # New phdr table: existing entries + one per appended segment +
         # one PT_LOAD covering the relocated table itself.
@@ -121,23 +131,16 @@ class ElfRewriter:
 
         # Layout: append each segment at a file offset congruent to its
         # vaddr modulo the page size, then the phdr table likewise.
-        def pad_to_congruence(vaddr: int) -> int:
-            off = len(out)
-            want = vaddr % c.PAGE_SIZE
-            have = off % c.PAGE_SIZE
-            pad = (want - have) % c.PAGE_SIZE
-            out.extend(b"\x00" * pad)
-            return len(out)
+        def pad_to_congruence(vaddr: int) -> None:
+            put(bytes((vaddr - size) % c.PAGE_SIZE))
 
         seg_offsets: list[int] = []
         for seg in self.segments:
-            off = pad_to_congruence(seg.vaddr)
-            out.extend(seg.data)
-            seg_offsets.append(off)
+            pad_to_congruence(seg.vaddr)
+            seg_offsets.append(put(seg.data))
 
-        phdr_off = pad_to_congruence(phdr_vaddr)
-        # Reserve the bytes now; contents written after assembling headers.
-        out.extend(b"\x00" * table_size)
+        pad_to_congruence(phdr_vaddr)
+        phdr_off = size
 
         phdrs: list[Phdr] = []
         for p in self.elf.phdrs:
@@ -183,12 +186,27 @@ class ElfRewriter:
         phdrs.extend(new_loads)
         table = b"".join(p.pack() for p in phdrs)
         assert len(table) == table_size
-        out[phdr_off : phdr_off + table_size] = table
+        put(table)
 
-        ehdr = Ehdr.unpack(bytes(out[: c.EHDR_SIZE]))
+        head = pieces[: bisect_left(starts, c.EHDR_SIZE)]
+        ehdr = Ehdr.unpack(b"".join(p[: c.EHDR_SIZE] for p in head)[: c.EHDR_SIZE])
         ehdr.phoff = phdr_off
         ehdr.phnum = new_phnum
         if self.new_entry is not None:
             ehdr.entry = self.new_entry
-        out[: c.EHDR_SIZE] = ehdr.pack()
-        return bytes(out)
+        _overlay(starts, pieces, 0, memoryview(ehdr.pack()))
+        return b"".join(pieces)
+
+
+def _overlay(starts: list[int], pieces: list, off: int, data) -> None:
+    """Replace bytes ``[off, off + len(data))`` of the file held as
+    *pieces* (contiguous from 0, piece ``k`` starting at ``starts[k]``)
+    with *data*, cutting the pieces it meets.  A cut may leave an empty
+    piece, always just before the piece sharing its start."""
+    end = off + len(data)
+    i = bisect_right(starts, off) - 1
+    j = bisect_left(starts, end)  # pieces [i, j) meet [off, end)
+    head = pieces[i][: off - starts[i]]
+    tail = pieces[j - 1][end - starts[j - 1] :]
+    starts[i:j] = [starts[i], off, end]
+    pieces[i:j] = [head, data, tail]

@@ -9,6 +9,7 @@ label-based :class:`Assembler` used to build trampolines and loaders.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.errors import EncodeError
@@ -29,9 +30,19 @@ RAX, RCX, RDX, RBX, RSP, RBP, RSI, RDI = range(8)
 R8, R9, R10, R11, R12, R13, R14, R15 = range(8, 16)
 
 
+# Packers: one or two opcode bytes + rel32, and a bare rel32.
+_OP_REL32, _OP2_REL32, _REL32 = (struct.Struct(f).pack for f in ("<Bi", "<BBi", "<i"))
+
+
 def _check_rel(rel: int, lo: int, hi: int) -> None:
     if not lo <= rel <= hi:
         raise EncodeError(f"relative displacement {rel:#x} out of range [{lo:#x}, {hi:#x}]")
+
+
+def encode_rel32(rel: int) -> bytes:
+    """A range-checked little-endian rel32 field."""
+    _check_rel(rel, REL32_MIN, REL32_MAX)
+    return _REL32(rel)
 
 
 def encode_jmp_rel32(rel: int, padding: int = 0) -> bytes:
@@ -41,8 +52,8 @@ def encode_jmp_rel32(rel: int, padding: int = 0) -> bytes:
     semantics (tactic T1).  The total length is ``padding + 5``.
     """
     _check_rel(rel, REL32_MIN, REL32_MAX)
-    pad = pfx.jump_padding(padding)
-    return pad + bytes((JMP_REL32_OPCODE,)) + (rel & 0xFFFFFFFF).to_bytes(4, "little")
+    jmp = _OP_REL32(JMP_REL32_OPCODE, rel)
+    return pfx.jump_padding(padding) + jmp if padding else jmp
 
 
 def encode_jmp_rel8(rel: int) -> bytes:
@@ -56,13 +67,13 @@ def encode_jcc_rel32(cc: int, rel: int) -> bytes:
     if not 0 <= cc <= 15:
         raise EncodeError(f"condition code {cc} out of range")
     _check_rel(rel, REL32_MIN, REL32_MAX)
-    return bytes((0x0F, 0x80 | cc)) + (rel & 0xFFFFFFFF).to_bytes(4, "little")
+    return _OP2_REL32(0x0F, 0x80 | cc, rel)
 
 
 def encode_call_rel32(rel: int) -> bytes:
     """Encode ``callq rel32`` (five bytes)."""
     _check_rel(rel, REL32_MIN, REL32_MAX)
-    return bytes((CALL_REL32_OPCODE,)) + (rel & 0xFFFFFFFF).to_bytes(4, "little")
+    return _OP_REL32(CALL_REL32_OPCODE, rel)
 
 
 def encode_int3() -> bytes:
@@ -96,6 +107,35 @@ def encode_nop(length: int = 1) -> bytes:
         length -= 9
     out += _NOPS[length]
     return bytes(out)
+
+
+def encode_lea_from_modrm(reg: int, insn: Instruction) -> bytes:
+    """``lea <mem operand of insn>, %reg``.
+
+    Rebuilds *insn*'s memory addressing expression as a ``lea`` so a
+    trampoline can compute the effective address the original
+    instruction was about to access (used by the LowFat hardening
+    instrumentation).  rip-relative operands are rejected.
+    """
+    if not insn.has_mem_operand:
+        raise EncodeError("instruction has no memory operand")
+    if insn.rip_relative:
+        raise EncodeError("cannot rebuild a rip-relative operand with lea")
+    assert insn.modrm is not None
+    src_rex = insn.rex or 0
+    rex = (
+        pfx.REX_BASE
+        | pfx.REX_W
+        | (pfx.REX_R if reg >= 8 else 0)
+        | (src_rex & (pfx.REX_X | pfx.REX_B))
+    )
+    modrm = (insn.modrm & 0xC7) | ((reg & 7) << 3)
+    out = bytes((rex, 0x8D, modrm))
+    if insn.sib is not None:
+        out += bytes((insn.sib,))
+    if insn.disp_size:
+        out += insn.raw[insn.disp_offset : insn.disp_offset + insn.disp_size]
+    return out
 
 
 def _rex(w: bool = False, r: int = 0, x: int = 0, b: int = 0) -> int:
@@ -323,33 +363,8 @@ class Assembler:
         self._emit_rel(4, target)
 
     def lea_from_modrm(self, reg: int, insn: Instruction) -> None:
-        """lea <mem operand of insn>, %reg.
-
-        Rebuilds *insn*'s memory addressing expression as a ``lea`` so a
-        trampoline can compute the effective address the original
-        instruction was about to access (used by the LowFat hardening
-        instrumentation).  rip-relative operands are rejected.
-        """
-        if not insn.has_mem_operand:
-            raise EncodeError("instruction has no memory operand")
-        if insn.rip_relative:
-            raise EncodeError("cannot rebuild a rip-relative operand with lea")
-        assert insn.modrm is not None
-        src_rex = insn.rex or 0
-        rex = (
-            pfx.REX_BASE
-            | pfx.REX_W
-            | (pfx.REX_R if reg >= 8 else 0)
-            | (src_rex & (pfx.REX_X | pfx.REX_B))
-        )
-        self.buf.append(rex)
-        self.buf.append(0x8D)
-        modrm = (insn.modrm & 0xC7) | ((reg & 7) << 3)
-        self.buf.append(modrm)
-        if insn.sib is not None:
-            self.buf.append(insn.sib)
-        if insn.disp_size:
-            self.buf += insn.raw[insn.disp_offset : insn.disp_offset + insn.disp_size]
+        """lea <mem operand of insn>, %reg (:func:`encode_lea_from_modrm`)."""
+        self.buf += encode_lea_from_modrm(reg, insn)
 
     def call(self, target: int | str) -> None:
         self.buf.append(CALL_REL32_OPCODE)

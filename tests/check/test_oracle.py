@@ -129,6 +129,45 @@ class TestB0Traps:
             assert binary.data.find(raw) != -1
             assert raw[0] != 0xCC
 
+    def test_sites_and_traps_builds_only_sites_and_traps(self, monkeypatch):
+        """Over a lazy stream, a ``jumps`` call materializes the selected
+        sites and the B0 traps only, and returns what a filter over the
+        whole decoded stream returns."""
+        import repro.frontend.tool as tool
+        from repro.elf.reader import ElfFile
+        from repro.frontend.lineardisasm import disassemble_text
+        from repro.frontend.matchers import match_jumps
+        from repro.x86 import fastscan
+
+        data = synthesize(SynthesisParams(n_jump_sites=400, n_write_sites=200,
+                                          seed=11)).data
+        report = rewrite(data, toggles=TacticToggles(
+            t1=False, t2=False, t3=False, b0_fallback=True))
+        b0 = report.result.b0_sites
+        assert b0
+        streams = []
+
+        def spy(*args, **kwargs):
+            ctx = real(*args, **kwargs)
+            streams.append(ctx.instructions)
+            return ctx
+
+        real = tool.prepare_binary
+        monkeypatch.setattr(tool, "prepare_binary", spy)
+        sites, traps = sites_and_traps(data, b0 + [1], "jumps")
+        everything, _ = sites_and_traps(data)
+
+        insns = list(disassemble_text(ElfFile(data)))
+        assert sites == {i.address for i in insns if match_jumps(i)}
+        assert everything == {i.address for i in insns}
+        by_addr = {i.address: i for i in insns}
+        assert traps == {s: bytes(by_addr[s].raw) for s in b0}
+        stream = streams[0]
+        assert isinstance(stream, fastscan.InstructionStream)
+        if fastscan.HAVE_NUMPY:  # a stdlib stream is built eagerly
+            assert len(stream._cache) <= len(sites) + len(traps)
+            assert len(stream._cache) < len(insns) // 4
+
 
 class TestEquivalencePass:
     def test_check_option_records_report(self):

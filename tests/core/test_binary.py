@@ -1,5 +1,4 @@
-"""CodeImage behaviour: reads reflect writes; locks enforced; dirty
-tracking coalesces."""
+"""CodeImage behaviour: reads reflect writes; locks enforced."""
 
 import pytest
 
@@ -47,14 +46,6 @@ class TestCodeImage:
         assert img.readable(0x1000, 64)
         assert not img.readable(0x1000, 65)
         assert not img.readable(0x3000, 1)
-
-    def test_dirty_patches_coalesce(self):
-        img = image()
-        img.write(0x1000, b"\x11")
-        img.write(0x1001, b"\x22")
-        img.write(0x1010, b"\x33")
-        patches = img.dirty_patches()
-        assert patches == [(0x1000, b"\x11\x22"), (0x1010, b"\x33")]
 
     def test_write_unchecked_bypasses_locks(self):
         img = image()

@@ -144,4 +144,4 @@ class TestGroupingProperties:
         result = group_trampolines(tramps, block_pages=1)
         for grp in result.groups:
             total = sum(b.occupied_bytes() for b in grp.members)
-            assert grp.occupancy.total() == total  # no double-booking
+            assert grp.occupancy.bit_count() == total  # no double-booking

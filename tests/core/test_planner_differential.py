@@ -23,7 +23,7 @@ from repro.core.pipeline import (
 from repro.core.strategy import PatchRequest, TacticToggles
 from repro.core.tactics import TacticContext, try_direct
 from repro.core.trampoline import Counter, Empty
-from repro.elf.constants import ENDBR64
+from repro.elf.constants import ENDBR64, PF_X, PT_LOAD
 from repro.elf.reader import ElfFile
 from repro.frontend.matchers import match_heap_writes, match_jumps
 from repro.synth.generator import SynthesisParams, synthesize
@@ -118,6 +118,39 @@ def test_exhausted_space_matches_reference(name, monkeypatch):
     assert got == want
     # The space really ran out: sites failed after probing every window.
     assert got["failures"]
+
+
+@pytest.mark.parametrize("name,matcher", CASES,
+                         ids=[f"{n}-{m.__name__}" for n, m in CASES])
+def test_output_differs_exactly_where_image_changed(name, matcher):
+    """Emission copies each executable range of the final image whole:
+    inside the executable segments the output differs from the input at
+    exactly the bytes the plan changed, and nowhere else."""
+    params, extra = PROFILES[name]
+    data = synthesize(params).data
+    extra = dict(extra)
+    pressure = extra.pop("pressure", 0)
+    elf = ElfFile(data)
+    if pressure:
+        extra["reserve_extra"] = ((elf.image_end, elf.image_end + pressure),)
+    ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader",
+                                                         **extra))
+    DecodePass().run(ctx)
+    MatchPass(matcher).run(ctx)
+    out = ctx.rewrite([PatchRequest(insn=i, instrumentation=Empty())
+                       for i in ctx.sites]).data
+    segments = [p for p in elf.phdrs if p.type == PT_LOAD and p.flags & PF_X]
+    assert segments
+    for p in segments:
+        final = ctx.image.range_at(p.vaddr).data
+        assert len(final) == p.filesz
+        in_output = {off for off in range(p.filesz)
+                     if out[p.offset + off] != data[p.offset + off]}
+        in_image = {off for off in range(p.filesz)
+                    if final[off] != data[p.offset + off]}
+        assert in_output == in_image
+        assert in_image, "the plan changed nothing"
+        assert out[p.offset:p.offset + p.filesz] == final
 
 
 def test_counter_payload_and_no_t1_match_reference(monkeypatch):

@@ -242,17 +242,25 @@ class TestTransaction:
     def test_abort_restores_everything(self):
         code = bytes.fromhex("488903" "0010") + b"\x90" * 16
         ctx = make_ctx(code)
+        ctx.image.write(BASE + 9, b"\xcc")  # a committed earlier patch
+        ctx.image.pun(BASE + 12, 2)
         before_free = ctx.space.free.copy()
+        snapshot = [(bytes(r.data), bytes(r.locks._state))
+                    for r in ctx.image.ranges]
         tx = Transaction(ctx.image, ctx.space)
         tx.write(BASE, b"\xe9\x11\x22")
         tx.pun(BASE + 3, 2)
+        tx.pun(BASE + 8, 6)  # over the committed bytes too
         t = ctx.space.allocate(0x10000, 0x20000, 64, "t")
         tx.add_trampoline(Trampoline(vaddr=t, code=bytes(64)))
         tx.abort()
         assert ctx.image.read(BASE, 5) == code[:5]
         assert ctx.image.locks_for(BASE).is_writable(BASE, 5)
         assert list(ctx.space.free) == list(before_free)
-        assert ctx.image.dirty == []
+        # Bytes and locks are the snapshot again: emission copies the
+        # image's ranges whole, so nothing else may mark an abort.
+        assert [(bytes(r.data), bytes(r.locks._state))
+                for r in ctx.image.ranges] == snapshot
 
     def test_nested_failure_leaves_clean_state(self):
         """A failed T2 (no usable probe) must not leak allocations."""

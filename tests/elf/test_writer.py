@@ -27,6 +27,31 @@ class TestInPlacePatch:
         with pytest.raises(ElfError):
             rw.patch_offset(10**9, b"\x00")
 
+    def test_overlapping_patches_apply_in_order(self):
+        """Patches are applied in the order they were made, a later one
+        winning where two overlap, also across earlier patches' edges
+        and over the ELF header that finalize rewrites last."""
+        import random
+
+        elf = fresh()
+        rng = random.Random(5)
+        for round_ in range(40):
+            rw = ElfRewriter(elf)
+            want = bytearray(elf.data)
+            for _ in range(rng.randrange(1, 12)):
+                off = rng.randrange(0, len(elf.data) - 1)
+                n = rng.randrange(1, min(300, len(elf.data) - off) + 1)
+                data = bytearray(rng.randbytes(n))  # bytearrays too
+                rw.patch_offset(off, data)
+                want[off:off + n] = data
+            if round_ % 2:
+                rw.set_entry(0x700000)  # finalize then rewrites the header
+                out = rw.finalize(phdr_vaddr=0x7F0000)
+                assert out[c.EHDR_SIZE:len(want)] == want[c.EHDR_SIZE:]
+                assert ElfFile(out).entry == 0x700000
+            else:
+                assert rw.finalize(phdr_vaddr=0) == want
+
     def test_original_untouched(self):
         elf = fresh()
         rw = ElfRewriter(elf)

@@ -26,17 +26,19 @@ class SetFlag(Instrumentation):
     name = "set-flag"
 
     def __init__(self, flag_vaddr: int) -> None:
-        self.flag_vaddr = flag_vaddr
-
-    def emit(self, asm: enc.Assembler, insn) -> None:
+        asm = enc.Assembler()
         asm.raw(b"\x48\x8d\x64\x24\x80")  # lea -0x80(%rsp), %rsp
         asm.pushfq()
         asm.push(enc.RAX)
-        asm.mov_imm64(enc.RAX, self.flag_vaddr)
+        asm.mov_imm64(enc.RAX, flag_vaddr)
         asm.raw(b"\xc6\x00\x01")  # mov byte [rax], 1
         asm.pop(enc.RAX)
         asm.popfq()
         asm.raw(b"\x48\x8d\xa4\x24\x80\x00\x00\x00")  # lea 0x80(%rsp), %rsp
+        self.code = asm.bytes()
+
+    def body(self, insn, at: int) -> bytes:
+        return self.code
 
 
 def buggy_program() -> tuple[bytes, int]:
@@ -113,10 +115,13 @@ class TestCvePatch:
         flag_vaddr = elf.section(".data").vaddr
         ctx = RewriteContext(elf=elf, options=RewriteOptions(mode="loader"),
                              instructions=insns)
-        ctx.rewrite([PatchRequest(insn=site, instrumentation=SetFlag(flag_vaddr))])
-        dirty = ctx.image.dirty_patches()
+        result = ctx.rewrite(
+            [PatchRequest(insn=site, instrumentation=SetFlag(flag_vaddr))])
         text = elf.section(".text")
-        total_changed = sum(len(d) for _, d in dirty)
-        assert total_changed <= 16  # a couple of jumps at most
-        for vaddr, data in dirty:
-            assert text.vaddr <= vaddr < text.vaddr + text.size
+        # Past the ELF header (new phdr table and entry point), only
+        # patched code bytes differ from the input.
+        changed = [off for off in range(elfc.EHDR_SIZE, len(image))
+                   if result.data[off] != image[off]]
+        assert 0 < len(changed) <= 16  # a couple of jumps at most
+        for off in changed:
+            assert text.offset <= off < text.offset + text.size
