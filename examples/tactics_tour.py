@@ -70,8 +70,7 @@ def main() -> None:
           "rel32)")
 
     print("\nlock states after patching:")
-    locks = ctx.image.locks_for(BASE)
-    states = [locks.state_name(BASE + i) for i in range(len(FIG1))]
+    states = [ctx.image.state_name(BASE + i) for i in range(len(FIG1))]
     print("  " + " ".join(f"{s[:3]:>3}" for s in states))
 
     print("\ndecoding the patched stream linearly:")

@@ -8,8 +8,8 @@ image is loaded high, so the whole ±2 GiB window around the code is
 valid, which is the paper's explanation for the much higher PIE baseline
 coverage.
 
-Hot-path structure (see INTERNALS.md §7): ``allocations`` is a dict keyed
-by vaddr so rollback ``release`` is O(1), and first-fit searches keep a
+Hot-path structure (see INTERNALS.md §7): ``allocations`` is a dict from
+vaddr to size so rollback ``release`` is O(1), and first-fit searches keep a
 *gap hint* per window origin — "no gap of ≥ N bytes starts below address
 A in this window" — so thousands of same-window allocations stop
 rescanning the exhausted low spans.  Hints are conservative: they are
@@ -35,19 +35,6 @@ USER_SPACE_TOP = 0x7FFF_F000_0000
 
 
 @dataclass
-class Allocation:
-    """One allocated trampoline extent."""
-
-    vaddr: int
-    size: int
-    tag: str = ""
-
-    @property
-    def end(self) -> int:
-        return self.vaddr + self.size
-
-
-@dataclass
 class AddressSpace:
     """Free-space tracker with windowed first-fit allocation.
 
@@ -68,7 +55,8 @@ class AddressSpace:
     lo_bound: int = MMAP_MIN_ADDR
     hi_bound: int = USER_SPACE_TOP
     free: IntervalSet = field(default_factory=IntervalSet)
-    allocations: dict[int, Allocation] = field(default_factory=dict)
+    #: Live allocations: start vaddr -> size.
+    allocations: dict[int, int] = field(default_factory=dict)
     #: Set before the first allocation: page-occupancy hints are only
     #: kept while it is on.
     pack_pages: bool = False
@@ -144,7 +132,7 @@ class AddressSpace:
         return self.free.visits
 
     def allocate(self, window_lo: int, window_hi: int, size: int,
-                 tag: str = "", align: int = 1) -> int | None:
+                 align: int = 1) -> int | None:
         """Allocate *size* bytes with the start address inside the window.
 
         Returns the start vaddr, or None if the window has no free slot.
@@ -171,7 +159,7 @@ class AddressSpace:
         if t is None:
             return None
         self.free.take(t, t + size)
-        self.allocations[t] = Allocation(vaddr=t, size=size, tag=tag)
+        self.allocations[t] = size
         if self.pack_pages:
             pages = self._pages(t, t + size)
             self._used_pages.add(pages.start, pages.stop)
@@ -209,8 +197,7 @@ class AddressSpace:
     def release(self, vaddr: int, size: int) -> None:
         """Return an extent to the free pool (tactic rollback)."""
         self.free.add(vaddr, vaddr + size)
-        a = self.allocations.get(vaddr)
-        if a is not None and a.size == size:
+        if self.allocations.get(vaddr) == size:
             del self.allocations[vaddr]
         # Freed space may merge with a lower span, creating gaps below any
         # recorded search cursor: every hint above the merged span's start
@@ -246,26 +233,26 @@ class AddressSpace:
     def check_invariants(self) -> None:
         """Assert allocator consistency (debug aid; O(n log n)).
 
-        * free space and live allocations are disjoint;
-        * live allocations are pairwise disjoint;
+        * live allocations are non-empty, disjoint from free space and
+          pairwise disjoint;
         * under ``pack_pages``, every page of every live allocation is in
           the page-occupancy hint set, and every hinted page is backed by
           a reference count.
         """
         prev_end = None
-        for vaddr in sorted(self.allocations):
-            a = self.allocations[vaddr]
-            assert a.vaddr == vaddr, "allocation key/vaddr mismatch"
-            assert not self.free.overlaps(a.vaddr, a.end), (
-                f"allocation [{a.vaddr:#x},{a.end:#x}) overlaps free space"
+        for vaddr, size in sorted(self.allocations.items()):
+            end = vaddr + size
+            assert size > 0, f"empty allocation at {vaddr:#x}"
+            assert not self.free.overlaps(vaddr, end), (
+                f"allocation [{vaddr:#x},{end:#x}) overlaps free space"
             )
-            assert prev_end is None or a.vaddr >= prev_end, (
-                f"allocations overlap at {a.vaddr:#x}"
+            assert prev_end is None or vaddr >= prev_end, (
+                f"allocations overlap at {vaddr:#x}"
             )
-            prev_end = a.end
+            prev_end = end
             if not self.pack_pages:
                 continue
-            for p in self._pages(a.vaddr, a.end):
+            for p in self._pages(vaddr, end):
                 assert self._used_pages.contains(p, p + self.PAGE), (
                     f"page {p:#x} of live allocation missing from page hints"
                 )
@@ -276,4 +263,4 @@ class AddressSpace:
             assert n > 0, f"page {p:#x} has non-positive refcount {n}"
 
     def used_bytes(self) -> int:
-        return sum(a.size for a in self.allocations.values())
+        return sum(self.allocations.values())

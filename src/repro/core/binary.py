@@ -1,16 +1,36 @@
-"""The rewritable code image: current bytes + lock state per exec range.
+"""The rewritable code image: each code byte's value and lock state.
+
+Reverse-order patching (paper Section 3.4) rests on one per-byte lock
+discipline, kept here and nowhere else.  Every byte of an executable
+range is in one of three states:
+
+* ``UNLOCKED`` — may be modified or relied upon by future patches;
+* ``MODIFIED`` — overwritten by a previous patch; immutable;
+* ``PUNNED`` — retains its original value but is read as part of a punned
+  jump's rel32; immutable (its *value* is load-bearing).
+
+Writing requires ``UNLOCKED``.  Punning (treating a byte as a fixed rel32
+cell) is allowed in any state — a MODIFIED or PUNNED byte can never change
+again, so relying on its current value is always safe — and promotes
+UNLOCKED bytes to PUNNED.
 
 Tactics read *current* bytes (a T2 retry must see the successor's new
-jump bytes) and write through lock checks.  At emission the ELF writer
-takes each range whole, in place of the input's bytes.
+jump bytes).  At emission the ELF writer takes each range whole, in
+place of the input's bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import PatchError
-from repro.core.locks import LockMap
+from repro.errors import LockViolation, PatchError
+
+UNLOCKED = 0
+MODIFIED = 1
+PUNNED = 2
+
+_NAMES = ("unlocked", "modified", "punned")
+_MODIFIED_BYTE = bytes((MODIFIED,))
 
 
 @dataclass
@@ -19,7 +39,8 @@ class CodeRange:
 
     base: int
     data: bytearray
-    locks: LockMap
+    #: One lock state per byte of ``data``.
+    locks: bytearray
 
     @property
     def end(self) -> int:
@@ -42,9 +63,8 @@ class CodeImage:
         return img
 
     def add_range(self, base: int, data: bytes) -> None:
-        self.ranges.append(
-            CodeRange(base=base, data=bytearray(data), locks=LockMap(base, len(data)))
-        )
+        self.ranges.append(CodeRange(base=base, data=bytearray(data),
+                                     locks=bytearray(len(data))))
         self.ranges.sort(key=lambda r: r.base)
 
     def range_at(self, vaddr: int) -> CodeRange | None:
@@ -57,52 +77,74 @@ class CodeImage:
                 return r
         return None
 
+    def _span(self, vaddr: int, length: int, what: str) -> tuple[CodeRange, int]:
+        """The range holding ``[vaddr, vaddr+length)`` and *vaddr*'s index
+        in it; PatchError if the span leaves the image."""
+        r = self.range_at(vaddr)
+        if r is None or vaddr + length > r.end:
+            raise PatchError(f"{what} outside code image at {vaddr:#x}")
+        return r, vaddr - r.base
+
     def readable(self, vaddr: int, length: int) -> bool:
         r = self.range_at(vaddr)
         return r is not None and vaddr + length <= r.end
 
     def read(self, vaddr: int, length: int) -> bytes:
         """Current bytes at *vaddr* (reflecting prior patches)."""
-        r = self.range_at(vaddr)
-        if r is None or vaddr + length > r.end:
-            raise PatchError(f"read outside code image at {vaddr:#x}")
-        i = vaddr - r.base
+        r, i = self._span(vaddr, length, "read")
         return bytes(r.data[i : i + length])
 
     def write(self, vaddr: int, data: bytes) -> None:
-        """Overwrite bytes, enforcing and setting MODIFIED locks."""
-        r = self.range_at(vaddr)
-        if r is None or vaddr + len(data) > r.end:
-            raise PatchError(f"write outside code image at {vaddr:#x}")
-        r.locks.lock_modified(vaddr, len(data))  # LockViolation if locked
-        i = vaddr - r.base
-        r.data[i : i + len(data)] = data
+        """Overwrite bytes that are all UNLOCKED and lock them MODIFIED.
 
-    def write_unchecked(self, vaddr: int, data: bytes) -> None:
-        """Overwrite bytes without lock bookkeeping (rollback support)."""
-        r = self.range_at(vaddr)
-        if r is None or vaddr + len(data) > r.end:
-            raise PatchError(f"write outside code image at {vaddr:#x}")
-        i = vaddr - r.base
-        r.data[i : i + len(data)] = data
+        A locked byte raises :class:`LockViolation` naming the first one
+        before anything changes.
+        """
+        n = len(data)
+        r, i = self._span(vaddr, n, "write")
+        locks = r.locks
+        if locks.count(UNLOCKED, i, i + n) != n:
+            k = next(k for k in range(i, i + n) if locks[k] != UNLOCKED)
+            raise LockViolation(
+                f"byte {r.base + k:#x} already {_NAMES[locks[k]]}")
+        r.data[i : i + n] = data
+        locks[i : i + n] = _MODIFIED_BYTE * n
 
     def pun(self, vaddr: int, length: int) -> None:
-        """Mark bytes as fixed rel32 cells (PUNNED)."""
-        r = self.range_at(vaddr)
-        if r is None or vaddr + length > r.end:
-            raise PatchError(f"pun outside code image at {vaddr:#x}")
-        r.locks.lock_punned(vaddr, length)
-
-    def restore_locks(self, vaddr: int, states: bytes) -> None:
-        """Restore a lock-state snapshot (transaction rollback)."""
-        self.locks_for(vaddr).restore(vaddr, states)
+        """Mark bytes as fixed rel32 cells: UNLOCKED bytes become PUNNED,
+        MODIFIED and PUNNED bytes keep their state."""
+        r, i = self._span(vaddr, length, "pun")
+        locks = r.locks
+        for k in range(i, i + length):
+            if locks[k] == UNLOCKED:
+                locks[k] = PUNNED
 
     def is_writable(self, vaddr: int, length: int) -> bool:
+        """True if every byte of ``[vaddr, vaddr+length)`` is in the image
+        and UNLOCKED."""
         r = self.range_at(vaddr)
-        return r is not None and r.locks.is_writable(vaddr, length)
+        if r is None or vaddr + length > r.end:
+            return False
+        i = vaddr - r.base
+        return r.locks.count(UNLOCKED, i, i + length) == length
 
-    def locks_for(self, vaddr: int) -> LockMap:
-        r = self.range_at(vaddr)
-        if r is None:
-            raise PatchError(f"address {vaddr:#x} outside code image")
-        return r.locks
+    def state(self, vaddr: int) -> int:
+        """Lock state of the byte at *vaddr*."""
+        r, i = self._span(vaddr, 1, "lock query")
+        return r.locks[i]
+
+    def state_name(self, vaddr: int) -> str:
+        return _NAMES[self.state(vaddr)]
+
+    def snapshot(self, vaddr: int, length: int) -> tuple[bytes, bytes]:
+        """The bytes and lock states of ``[vaddr, vaddr+length)``, for
+        :meth:`restore` (transaction rollback)."""
+        r, i = self._span(vaddr, length, "snapshot")
+        return bytes(r.data[i : i + length]), bytes(r.locks[i : i + length])
+
+    def restore(self, vaddr: int, data: bytes, locks: bytes) -> None:
+        """Put back a :meth:`snapshot`'s bytes and lock states, unchecked."""
+        n = len(data)
+        r, i = self._span(vaddr, n, "restore")
+        r.data[i : i + n] = data
+        r.locks[i : i + n] = locks

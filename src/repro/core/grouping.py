@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.intervals import IntervalSet
 from repro.core.trampoline import Trampoline
 
 PAGE_SIZE = 4096
@@ -26,15 +25,17 @@ class BlockOccupancy:
     """Trampoline bytes falling inside one virtual block."""
 
     index: int  # block number = vaddr // block_size
-    extents: IntervalSet = field(default_factory=IntervalSet)  # block-relative
     pieces: list[tuple[int, bytes]] = field(default_factory=list)  # (rel_off, data)
-
-    def occupied_bytes(self) -> int:
-        return self.extents.total()
 
     def mask(self) -> int:
         """The occupied block-relative bytes as a bit mask."""
-        return sum(((1 << (hi - lo)) - 1) << lo for lo, hi in self.extents)
+        mask = 0
+        for rel, data in self.pieces:
+            mask |= ((1 << len(data)) - 1) << rel
+        return mask
+
+    def occupied_bytes(self) -> int:
+        return self.mask().bit_count()
 
 
 @dataclass
@@ -122,7 +123,6 @@ def split_into_blocks(
             block = blocks.get(index)
             if block is None:
                 block = blocks[index] = BlockOccupancy(index=index)
-            block.extents.add(rel, rel + take)
             block.pieces.append((rel, data[:take]))
             vaddr += take
             data = data[take:]
@@ -138,8 +138,11 @@ def group_blocks(
     blocks fill their holes.
     """
     groups: list[Group] = []
-    for block in sorted(blocks, key=lambda b: -b.occupied_bytes()):
-        mask = block.mask()
+    # Masks live only for the sort and the admissions: one stored on
+    # every block would stay resident until emission.
+    masked = sorted(((block.mask(), block) for block in blocks),
+                    key=lambda mb: -mb[0].bit_count())
+    for mask, block in masked:
         for grp in groups:
             if not grp.occupancy & mask:
                 break

@@ -37,10 +37,6 @@ class IntervalSet:
         spans = ", ".join(f"[{s:#x},{e:#x})" for s, e in self)
         return f"IntervalSet({spans})"
 
-    def total(self) -> int:
-        """Total number of integers covered."""
-        return sum(e - s for s, e in self)
-
     def add(self, lo: int, hi: int) -> None:
         """Insert ``[lo, hi)``, merging with any overlapping/adjacent spans."""
         if lo >= hi:

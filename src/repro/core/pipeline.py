@@ -248,7 +248,7 @@ class RewriteContext:
         """
         self.prepare_workspace()
         lo, hi = self.space.lo_bound, self.space.hi_bound
-        vaddr = self.space.allocate(lo, hi, size, tag)
+        vaddr = self.space.allocate(lo, hi, size)
         if vaddr is None:
             raise PatchError("no space for runtime code")
         code = build(vaddr)
@@ -279,7 +279,7 @@ class RewriteContext:
         margin = 1 << 20
         lo = max(self.space.lo_bound, 0, entry - (1 << 31) + margin)
         hi = min(self.space.hi_bound, entry + (1 << 31) - margin)
-        vaddr = self.space.allocate(lo, hi, size, tag="meta", align=block)
+        vaddr = self.space.allocate(lo, hi, size, align=block)
         if vaddr is None:
             raise PatchError("no space for metadata segment")
         self.meta_segments.append((vaddr, size))

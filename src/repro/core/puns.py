@@ -122,11 +122,11 @@ def pun_windows(
         max_padding = room - 1
     max_padding = min(max_padding, room - 1, MAX_JUMP_LEN - 5)
 
+    if not image.is_writable(jump_addr, room):
+        return
     # One range lookup for the whole enumeration; the padding loop reads
     # fixed bytes straight out of the range buffer.
     r = image.range_at(jump_addr)
-    if r is None or not r.locks.is_writable(jump_addr, room):
-        return
     r_base, r_end, r_data = r.base, r.end, r.data
 
     from_bytes = int.from_bytes

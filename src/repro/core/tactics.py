@@ -59,37 +59,32 @@ class Transaction:
     def __init__(self, image: CodeImage, space: AddressSpace) -> None:
         self.image = image
         self.space = space
-        self._writes: list[tuple[int, bytes, bytes]] = []  # vaddr, old, lockstates
-        self._puns: list[tuple[int, bytes]] = []  # vaddr, lockstates
+        # (vaddr, bytes, locks) as they were before each write or pun.
+        self._undo: list[tuple[int, bytes, bytes]] = []
         self.trampolines: list[Trampoline] = []
 
     def write(self, vaddr: int, data: bytes) -> None:
-        old = self.image.read(vaddr, len(data))
-        locks = self.image.locks_for(vaddr).snapshot(vaddr, len(data))
+        before = self.image.snapshot(vaddr, len(data))
         self.image.write(vaddr, data)
-        self._writes.append((vaddr, old, locks))
+        self._undo.append((vaddr, *before))
 
     def pun(self, vaddr: int, length: int) -> None:
         if length <= 0:
             return
-        locks = self.image.locks_for(vaddr).snapshot(vaddr, length)
+        before = self.image.snapshot(vaddr, length)
         self.image.pun(vaddr, length)
-        self._puns.append((vaddr, locks))
+        self._undo.append((vaddr, *before))
 
     def add_trampoline(self, tramp: Trampoline) -> None:
         """Adopt an allocated trampoline: abort releases its extent."""
         self.trampolines.append(tramp)
 
     def abort(self) -> None:
-        for vaddr, locks in reversed(self._puns):
-            self.image.restore_locks(vaddr, locks)
-        for vaddr, old, locks in reversed(self._writes):
-            self.image.write_unchecked(vaddr, old)
-            self.image.restore_locks(vaddr, locks)
+        for vaddr, data, locks in reversed(self._undo):
+            self.image.restore(vaddr, data, locks)
         for tramp in reversed(self.trampolines):
             self.space.release(tramp.vaddr, tramp.size)
-        self._writes.clear()
-        self._puns.clear()
+        self._undo.clear()
         self.trampolines.clear()
 
 
@@ -111,7 +106,6 @@ class TacticContext:
     image: CodeImage
     space: AddressSpace
     instructions: Sequence[Instruction]  # sorted by address (linear stream)
-    max_eviction_probes: int = 1
     #: CET/IBT mode: endbr64 landing pads are hard constraints — no
     #: tactic may overwrite or pun through one (an indirect branch to a
     #: clobbered pad would fault under IBT enforcement).
@@ -196,7 +190,7 @@ def _place_trampoline(
         lo, hi = max(lo, reach[0]), min(hi, reach[1])
         if lo >= hi:
             return None
-    t = ctx.space.allocate(lo, hi, size, tag)
+    t = ctx.space.allocate(lo, hi, size)
     if t is None:
         return None
     try:
@@ -253,7 +247,7 @@ def try_direct(
     Unlike the multi-step tactics this one needs no :class:`Transaction`:
     the image is only written on the success path (failed allocation
     probes are released directly), so there is never anything to roll
-    back — and skipping the undo log (old-byte reads + lock snapshots)
+    back — and skipping the undo log (byte and lock snapshots)
     keeps the most common tactic on the fast path.
     """
     if ctx.protects(insn):
@@ -320,35 +314,26 @@ def try_successor_eviction(
 
     evictee_size = ctx.trampoline_size(succ, _EMPTY)
     for s_window in pun_windows(ctx.image, succ.address, succ.end):
-        # Probe several trampoline placements inside the window: each
-        # placement changes the successor's new byte values, which changes
-        # the site's own pun window.
-        probe_lo = s_window.target_lo
-        for _ in range(ctx.max_eviction_probes):
-            evictee = _place_trampoline(
-                ctx, succ, _EMPTY, probe_lo, s_window.target_hi,
-                evictee_size, f"evictee@{succ.address:#x}",
+        # One evictee placement per successor window: its jump's bytes
+        # fix the site's own pun windows.
+        evictee = _place_trampoline(
+            ctx, succ, _EMPTY, s_window.target_lo, s_window.target_hi,
+            evictee_size, f"evictee@{succ.address:#x}",
+        )
+        if evictee is None:
+            continue
+        tx = Transaction(ctx.image, ctx.space)
+        tx.add_trampoline(evictee)
+        _emit_jump(tx, s_window, evictee.vaddr)
+        window = _try_jump_to_new_trampoline(
+            ctx, tx, insn.address, insn.end, insn, instr,
+            f"patch@{insn.address:#x}",
+        )
+        if window is not None:
+            return SitePatch(
+                site=insn.address, tactic=Tactic.T2, trampolines=list(tx.trampolines)
             )
-            if evictee is None:
-                break
-            tx = Transaction(ctx.image, ctx.space)
-            tx.add_trampoline(evictee)
-            _emit_jump(tx, s_window, evictee.vaddr)
-            window = _try_jump_to_new_trampoline(
-                ctx, tx, insn.address, insn.end, insn, instr,
-                f"patch@{insn.address:#x}",
-            )
-            if window is not None:
-                return SitePatch(
-                    site=insn.address, tactic=Tactic.T2, trampolines=list(tx.trampolines)
-                )
-            tx.abort()
-            # Shift the probe window so the next evictee lands with a
-            # different low rel32 byte (and hence different fixed bytes
-            # for the site's pun).
-            probe_lo = evictee.vaddr + 256 - (evictee.vaddr % 256)
-            if probe_lo >= s_window.target_hi:
-                break
+        tx.abort()
     return None
 
 

@@ -124,21 +124,6 @@ class TinyProgram:
         a.mov_imm32(0, c.SYS_EXIT)  # mov eax, 60
         a.syscall()
 
-    def emit_write(self, fd: int, buf_vaddr: int | str, size: int) -> None:
-        """write(fd, buf, size) via syscall (clobbers rax/rdi/rsi/rdx/rcx/r11)."""
-        a = self.text
-        a.mov_imm32(7, fd)
-        if isinstance(buf_vaddr, str):
-            a.lea_rip(6, buf_vaddr)
-        else:
-            if self.pie:
-                a.mov_imm64(6, buf_vaddr)  # caller must pass run-time addr
-            else:
-                a.mov_imm64(6, buf_vaddr)
-        a.mov_imm32(2, size)
-        a.mov_imm32(0, c.SYS_WRITE)
-        a.syscall()
-
     # -- emission -------------------------------------------------------------
 
     def _dynamic_machinery(

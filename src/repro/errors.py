@@ -33,10 +33,6 @@ class PatchError(ReproError):
     """A patch operation could not be applied."""
 
 
-class AllocationError(PatchError):
-    """No trampoline address satisfying the pun constraints is available."""
-
-
 class LockViolation(PatchError):
     """A tactic attempted to modify a locked byte."""
 

@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.core.pipeline import RewriteOptions
 from repro.core.strategy import TacticToggles
@@ -21,16 +21,6 @@ from repro.frontend.tool import instrument_elf, rewrite_many
 from repro.synth.generator import SynthesisParams, synthesize
 from repro.synth.profiles import BinaryProfile
 from repro.vm.machine import Machine, TrapHandler, run_elf
-
-
-@dataclass
-class AblationResult:
-    label: str
-    value: float
-    unit: str = "%"
-
-    def __str__(self) -> str:
-        return f"{self.label}: {self.value:.2f}{self.unit}"
 
 
 def coverage_without_t3(profile: BinaryProfile,

@@ -30,7 +30,3 @@ def write_artifact(directory: str | pathlib.Path, name: str,
         print(f"\n=== {name} ===")
         print(text)
     return path
-
-
-def pct(value: float) -> str:
-    return f"{value:.2f}%"

@@ -82,7 +82,7 @@ def try_direct(
         hi = min(window.target_hi, reach[1])
         if lo >= hi:
             continue
-        t = space.allocate(lo, hi, size, tag)
+        t = space.allocate(lo, hi, size)
         if t is None:
             continue
         try:

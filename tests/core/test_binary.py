@@ -47,11 +47,13 @@ class TestCodeImage:
         assert not img.readable(0x1000, 65)
         assert not img.readable(0x3000, 1)
 
-    def test_write_unchecked_bypasses_locks(self):
+    def test_restore_undoes_write(self):
         img = image()
-        img.write(0x1000, b"\xAA")
-        img.write_unchecked(0x1000, b"\x00")
-        assert img.read(0x1000, 1) == b"\x00"
+        before = img.snapshot(0x1000, 2)
+        img.write(0x1000, b"\xAA\xBB")
+        img.restore(0x1000, *before)
+        assert img.read(0x1000, 2) == b"\x00\x01"
+        img.write(0x1000, b"\xCC")  # unlocked again
 
     def test_ranges_sorted(self):
         img = CodeImage()

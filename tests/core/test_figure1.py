@@ -86,12 +86,12 @@ class TestFigure1:
         T1(b) case all of Ins1 is written; Ins2's four bytes are punned."""
         ctx = make_ctx()
         try_direct(ctx, ctx.insn_at(BASE), Empty())
-        locks = ctx.image.locks_for(BASE)
-        assert locks.state_name(BASE) == "modified"
-        assert locks.state_name(BASE + 2) == "modified"
+        image = ctx.image
+        assert image.state_name(BASE) == "modified"
+        assert image.state_name(BASE + 2) == "modified"
         for off in range(3, 7):
-            assert locks.state_name(BASE + off) == "punned"
-        assert locks.state_name(BASE + 7) == "unlocked"  # Ins3 untouched
+            assert image.state_name(BASE + off) == "punned"
+        assert image.state_name(BASE + 7) == "unlocked"  # Ins3 untouched
 
 
 class TestFigure2Shape:

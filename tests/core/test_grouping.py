@@ -19,23 +19,23 @@ class TestSplit:
         blocks = split_into_blocks([tramp(0x1000, 32)], block_pages=1)
         assert len(blocks) == 1
         assert blocks[0].index == 1
-        assert list(blocks[0].extents) == [(0, 32)]
+        assert blocks[0].mask() == (1 << 32) - 1
 
     def test_boundary_spanning_becomes_two_minis(self):
         blocks = split_into_blocks([tramp(0x1FF0, 0x20)], block_pages=1)
         assert [b.index for b in blocks] == [1, 2]
-        assert list(blocks[0].extents) == [(0xFF0, 0x1000)]
-        assert list(blocks[1].extents) == [(0, 0x10)]
+        assert blocks[0].mask() == ((1 << 0x10) - 1) << 0xFF0
+        assert blocks[1].mask() == (1 << 0x10) - 1
 
     def test_negative_vaddr_blocks(self):
         blocks = split_into_blocks([tramp(-0x1000, 16)], block_pages=1)
         assert blocks[0].index == -1
-        assert list(blocks[0].extents) == [(0, 16)]
+        assert blocks[0].mask() == (1 << 16) - 1
 
     def test_granularity(self):
         blocks = split_into_blocks([tramp(0x5000, 16)], block_pages=4)
         assert blocks[0].index == 1  # 0x5000 // 0x4000
-        assert list(blocks[0].extents) == [(0x1000, 0x1010)]
+        assert blocks[0].mask() == ((1 << 0x10) - 1) << 0x1000
 
 
 class TestGrouping:

@@ -59,10 +59,6 @@ class TestBasics:
         assert not s.overlaps(20, 30)
         assert not s.overlaps(0, 10)
 
-    def test_total(self):
-        s = IntervalSet([(0, 10), (20, 25)])
-        assert s.total() == 15
-
     def test_negative_coordinates(self):
         s = IntervalSet([(-100, -50)])
         assert s.contains(-75)
@@ -130,7 +126,6 @@ class TestProperties:
         spans = list(s)
         for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
             assert a_hi < b_lo
-        assert s.total() == len(reference)
 
     @given(interval_ops(), st.integers(0, 500), st.integers(1, 50))
     def test_find_gap_returns_valid_slot(self, ops, window_lo, size):

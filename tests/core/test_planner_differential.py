@@ -58,9 +58,8 @@ def state(ctx: TacticContext, patches=()) -> dict:
             for p in patches
         ],
         "image": [bytes(r.data) for r in ctx.image.ranges],
-        "locks": [bytes(r.locks._state) for r in ctx.image.ranges],
-        "allocations": sorted(
-            (a.vaddr, a.size, a.tag) for a in ctx.space.allocations.values()),
+        "locks": [bytes(r.locks) for r in ctx.image.ranges],
+        "allocations": sorted(ctx.space.allocations.items()),
         "probes": ctx.space.probes,
         "span_visits": ctx.space.span_visits,
     }

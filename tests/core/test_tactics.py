@@ -7,8 +7,7 @@ byte layout, lock state, and decodability of the patched stream.
 
 
 from repro.core.allocator import AddressSpace
-from repro.core.binary import CodeImage
-from repro.core.locks import MODIFIED, PUNNED, UNLOCKED
+from repro.core.binary import MODIFIED, PUNNED, UNLOCKED, CodeImage
 from repro.core.puns import pun_windows
 from repro.core.tactics import (
     Tactic,
@@ -30,13 +29,12 @@ from repro.x86.decoder import decode, decode_buffer
 BASE = 0x400000
 
 
-def make_ctx(code: bytes, *, lo=0x10000, hi=0x7FFF0000, probes=8) -> TacticContext:
+def make_ctx(code: bytes, *, lo=0x10000, hi=0x7FFF0000) -> TacticContext:
     image = CodeImage.from_ranges([(BASE, code)])
     space = AddressSpace(lo_bound=lo, hi_bound=hi)
     space.reserve(BASE - 0x1000, BASE + len(code) + 0x1000)
     instructions = decode_buffer(code, address=BASE)
-    return TacticContext(image=image, space=space, instructions=instructions,
-                         max_eviction_probes=probes)
+    return TacticContext(image=image, space=space, instructions=instructions)
 
 
 def site(ctx: TacticContext, addr: int = BASE):
@@ -56,9 +54,8 @@ class TestB1:
         tramp = result.trampolines[0]
         assert jump.target == tramp.vaddr
         # Leftover bytes of the patched instruction stay unlocked.
-        locks = ctx.image.locks_for(BASE)
-        assert locks.state(BASE + 5) == UNLOCKED
-        assert locks.state(BASE + 4) == MODIFIED
+        assert ctx.image.state(BASE + 5) == UNLOCKED
+        assert ctx.image.state(BASE + 4) == MODIFIED
 
     def test_trampoline_contains_displaced_insn_and_return(self):
         code = bytes.fromhex("48c7c078563412") + b"\x90" * 16
@@ -81,9 +78,8 @@ class TestB2:
         assert result is not None and result.tactic == Tactic.B2
         # Successor bytes unchanged but PUNNED.
         assert ctx.image.read(BASE + 3, 2) == bytes.fromhex("0010")
-        locks = ctx.image.locks_for(BASE)
-        assert locks.state(BASE + 3) == PUNNED
-        assert locks.state(BASE + 4) == PUNNED
+        assert ctx.image.state(BASE + 3) == PUNNED
+        assert ctx.image.state(BASE + 4) == PUNNED
         # The overlapping jump decodes to the trampoline.
         jump = decode(ctx.image.read(BASE, 5), 0, address=BASE)
         assert jump.mnemonic == "jmp"
@@ -97,7 +93,7 @@ class TestB2:
         assert result is None
         # Failure must leave no trace.
         assert ctx.image.read(BASE, 7) == code[:7]
-        assert ctx.image.locks_for(BASE).is_writable(BASE, 7)
+        assert ctx.image.is_writable(BASE, 7)
         assert not ctx.space.allocations
 
 
@@ -245,21 +241,21 @@ class TestTransaction:
         ctx.image.write(BASE + 9, b"\xcc")  # a committed earlier patch
         ctx.image.pun(BASE + 12, 2)
         before_free = ctx.space.free.copy()
-        snapshot = [(bytes(r.data), bytes(r.locks._state))
+        snapshot = [(bytes(r.data), bytes(r.locks))
                     for r in ctx.image.ranges]
         tx = Transaction(ctx.image, ctx.space)
         tx.write(BASE, b"\xe9\x11\x22")
         tx.pun(BASE + 3, 2)
         tx.pun(BASE + 8, 6)  # over the committed bytes too
-        t = ctx.space.allocate(0x10000, 0x20000, 64, "t")
+        t = ctx.space.allocate(0x10000, 0x20000, 64)
         tx.add_trampoline(Trampoline(vaddr=t, code=bytes(64)))
         tx.abort()
         assert ctx.image.read(BASE, 5) == code[:5]
-        assert ctx.image.locks_for(BASE).is_writable(BASE, 5)
+        assert ctx.image.is_writable(BASE, 5)
         assert list(ctx.space.free) == list(before_free)
         # Bytes and locks are the snapshot again: emission copies the
         # image's ranges whole, so nothing else may mark an abort.
-        assert [(bytes(r.data), bytes(r.locks._state))
+        assert [(bytes(r.data), bytes(r.locks))
                 for r in ctx.image.ranges] == snapshot
 
     def test_nested_failure_leaves_clean_state(self):
@@ -289,8 +285,8 @@ class TestAbortHeavyChurn:
         ctx.space.check_invariants()
         # No transaction leaked a partial allocation's page refs.
         live_pages = {
-            p for a in ctx.space.allocations.values()
-            for p in range(a.vaddr - a.vaddr % 4096, a.end, 4096)
+            p for vaddr, size in ctx.space.allocations.items()
+            for p in range(vaddr - vaddr % 4096, vaddr + size, 4096)
         }
         assert set(ctx.space._page_refs) == live_pages
 

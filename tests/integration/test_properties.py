@@ -8,6 +8,7 @@ original values.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.binary import PUNNED
 from repro.core.pipeline import PlanPass, RewriteContext, RewriteOptions
 from repro.core.strategy import PatchRequest
 from repro.core.tactics import Tactic
@@ -107,7 +108,7 @@ class TestStructuralInvariants:
         for r in ctx.image.ranges:
             orig = original[r.base]
             for i in range(len(r.data)):
-                if r.locks.state(r.base + i) == 2:  # PUNNED
+                if r.locks[i] == PUNNED:
                     assert r.data[i] == orig[i]
 
     @fast
